@@ -348,20 +348,49 @@ def canonical_key(f: ConstraintFormula) -> bytes:
     return b"".join(parts)
 
 
-def _residual_domains(g: ConstraintGraph):
-    """Per-class candidate values after pinning and domain intersection."""
-    residuals = []
-    for cls in g.classes:
-        const = next((t for t in cls if isinstance(t, GroundTerm)), None)
-        doms = [t.domain for t in cls if isinstance(t, Var)]
-        if not doms:
-            residuals.append([const])
-            continue
-        values = [v for v in doms[0].values if all(v in d for d in doms[1:])]
-        if const is not None:
-            values = [v for v in values if v == const]
-        residuals.append(values)
-    return residuals
+class _Residual:
+    """The candidate values of one equivalence class, kept lazily: an
+    ordered base (a domain's values, or one constant) minus a set of
+    excluded values.  Only :meth:`values` walks the whole base."""
+
+    __slots__ = ("ordered", "members", "excluded")
+
+    def __init__(self, ordered, members):
+        self.ordered = ordered
+        self.members = members
+        self.excluded = set()
+
+    def __len__(self):
+        return len(self.ordered) - len(self.excluded)
+
+    def __contains__(self, value):
+        return value in self.members and value not in self.excluded
+
+    def first(self, taken=frozenset()):
+        """The first value in base order that is neither excluded nor
+        taken; it costs O(excluded + taken + 1), not O(domain)."""
+        return next(
+            (v for v in self.ordered if v not in self.excluded and v not in taken),
+            None,
+        )
+
+    def values(self) -> list:
+        return [v for v in self.ordered if v not in self.excluded]
+
+
+def _residual(cls) -> _Residual:
+    """A class's residual before propagation.
+
+    Atoms relate only variables over equal domains, and a constant only
+    to variables whose domain holds it, so a class pinned to a constant
+    has that constant alone and any other class has the domain of any of
+    its variables.
+    """
+    for t in cls:
+        if isinstance(t, GroundTerm):
+            return _Residual((t,), (t,))
+    domain = next(iter(cls)).domain
+    return _Residual(domain.values, domain)
 
 
 _sat_cache: dict = {}
@@ -374,6 +403,10 @@ def satisfiable(f: ConstraintFormula) -> bool:
     assignment (smallest residual domain first); greedy success is a
     witness.  On greedy failure an exhaustive backtracking search runs,
     bounded by EXHAUSTIVE_LIMIT.
+
+    Residual domains are a domain minus a set of excluded values, never
+    listed, so the cost does not depend on domain size unless the
+    backtracking fallback runs.
     """
     cached = _sat_cache.get(f.atoms)
     if cached is None:
@@ -388,7 +421,7 @@ def _satisfiable(f: ConstraintFormula) -> bool:
     if not g.classes:
         return True
 
-    residuals = [list(r) for r in _residual_domains(g)]
+    residuals = [_residual(cls) for cls in g.classes]
     neighbors = {i: set() for i in range(len(g.classes))}
     for pair in g.neq_pairs:
         i, j = tuple(pair)
@@ -405,14 +438,14 @@ def _satisfiable(f: ConstraintFormula) -> bool:
             continue
         if not residuals[i]:
             return False
-        fixed[i] = residuals[i][0]
+        fixed[i] = residuals[i].first()
         for j in neighbors[i]:
             if j in fixed:
                 if fixed[j] == fixed[i]:
                     return False
                 continue
             if fixed[i] in residuals[j]:
-                residuals[j] = [v for v in residuals[j] if v != fixed[i]]
+                residuals[j].excluded.add(fixed[i])
                 if not residuals[j]:
                     return False
                 if len(residuals[j]) == 1:
@@ -430,7 +463,7 @@ def _satisfiable(f: ConstraintFormula) -> bool:
     chosen = {}
     for i in order:
         taken = {chosen[j] for j in neighbors[i] if j in chosen}
-        pick = next((v for v in residuals[i] if v not in taken), None)
+        pick = residuals[i].first(taken)
         if pick is None:
             break
         chosen[i] = pick
@@ -445,15 +478,14 @@ def _satisfiable(f: ConstraintFormula) -> bool:
             raise SolverLimitError(
                 f"residual search space exceeds {EXHAUSTIVE_LIMIT} assignments"
             )
-
-    order = sorted(open_classes, key=lambda i: (len(residuals[i]), i))
+    candidates = {i: residuals[i].values() for i in open_classes}
 
     def search(pos, assigned):
         if pos == len(order):
             return True
         i = order[pos]
         taken = {assigned[j] for j in neighbors[i] if j in assigned}
-        for v in residuals[i]:
+        for v in candidates[i]:
             if v in taken:
                 continue
             assigned[i] = v

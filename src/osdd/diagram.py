@@ -166,8 +166,7 @@ def _signature(d: Osdd, env: dict) -> tuple:
             ends = sorted((_term_sig(a.lhs, inner), _term_sig(a.rhs, inner)))
             atoms.append((ends[0], ends[1], a.polarity))
         parts.append((tuple(sorted(atoms)), _signature(child, inner)))
-    domain_sig = tuple(repr(v.symbol) for v in d.out.domain.values)
-    sig = ("node", d.si.sort_key(), domain_sig, tuple(parts))
+    sig = ("node", d.si.sort_key(), d.out.domain.values_id, tuple(parts))
     d._sig_cache[relevant] = sig
     return sig
 
@@ -189,7 +188,7 @@ def canonical_instance_var(ref: SwitchRef, instance: GroundTerm, domain) -> Var:
     Canonical per (switch, instance, outcome space) so that independently
     built diagrams over the same instances intern to identical nodes.
     """
-    key = (ref, instance, domain.values)
+    key = (ref, instance, domain.values_id)
     with _intern_lock:
         got = _instance_var_table.get(key)
         if got is None:
@@ -698,20 +697,6 @@ def mdd_combine(a: Mdd, b: Mdd, op: str) -> Mdd:
         return result
 
     return walk(a, b)
-
-
-def mdd_node_count(d: Mdd) -> int:
-    seen = set()
-
-    def walk(n):
-        if n.is_leaf or id(n) in seen:
-            return
-        seen.add(id(n))
-        for _, c in n.edges:
-            walk(c)
-
-    walk(d)
-    return len(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -40,15 +40,26 @@ class GroundTerm:
         return f"GroundTerm({self.symbol!r})"
 
 
+# Value tuple -> small int, shared by every TypeDomain over that tuple.
+_values_ids: dict = {}
+_values_ids_lock = threading.Lock()
+
+
 @dataclass(frozen=True)
 class TypeDomain:
-    """A finite, ordered outcome space shared by a switch and its variables."""
+    """A finite, ordered outcome space shared by a switch and its variables.
+
+    ``values_id`` is a small int that is one-to-one with ``values`` across
+    every domain built in the process, so equal outcome spaces can be
+    compared without hashing their value tuples again.
+    """
 
     name: str
     values: tuple[GroundTerm, ...]
     _value_set: frozenset = field(
         default=None, init=False, repr=False, compare=False
     )
+    values_id: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.values:
@@ -57,6 +68,9 @@ class TypeDomain:
         if len(value_set) != len(self.values):
             raise ValueError(f"domain {self.name!r} has duplicate values")
         object.__setattr__(self, "_value_set", value_set)
+        with _values_ids_lock:
+            values_id = _values_ids.setdefault(self.values, len(_values_ids))
+        object.__setattr__(self, "values_id", values_id)
 
     @property
     def size(self) -> int:

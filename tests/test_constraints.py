@@ -2,11 +2,13 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osdd.constraints import (
     EQ,
+    EXHAUSTIVE_LIMIT,
     NEQ,
     AtomicConstraint,
     ConstraintFormula,
@@ -24,6 +26,7 @@ from osdd.constraints import (
     solutions,
     substitution,
 )
+from osdd.errors import SolverLimitError
 from osdd.terms import GroundTerm, Var, domain_of_symbols
 
 from conftest import all_assignments, models
@@ -98,6 +101,57 @@ class TestSatisfiable:
     def test_pinning_prunes(self):
         x, y = v3("X"), v3("Y")
         assert not satisfiable(formula(eq(x, A), eq(x, y), neq(y, A)))
+
+    def test_greedy_failure_falls_back_to_search(self):
+        # Greedy assigns M0 = M1 = a, then M2 = b, and finds nothing left
+        # for M3; the path is still 2-colourable.
+        m = [Var(f"M{i}", D2) for i in range(4)]
+        f = formula(neq(m[0], m[3]), neq(m[1], m[2]), neq(m[2], m[3]))
+        assert satisfiable(f)
+        assert models(f, m)
+
+    def test_free_variable_avoids_pinned_variables_large_domain(self):
+        pinned = [Var(f"P{k}", D365) for k in range(1, 6)]
+        y = Var("Y", D365)
+        atoms = [eq(p, GroundTerm(k)) for k, p in enumerate(pinned, 1)]
+        atoms += [neq(y, p) for p in pinned]
+        assert satisfiable(ConstraintFormula(atoms))
+        assert not satisfiable(ConstraintFormula(atoms + [eq(y, GroundTerm(3))]))
+        assert satisfiable(ConstraintFormula(atoms + [eq(y, GroundTerm(6))]))
+
+    def test_free_variable_left_one_value_large_domain(self):
+        y = Var("Y", D365)
+        atoms = [neq(y, GroundTerm(d)) for d in range(1, 365)]
+        assert satisfiable(ConstraintFormula(atoms))
+        assert satisfiable(ConstraintFormula(atoms + [eq(y, GroundTerm(365))]))
+        assert not satisfiable(ConstraintFormula(atoms + [neq(y, GroundTerm(365))]))
+
+
+class TestSolverLimit:
+    """The limit multiplies the open classes' residual sizes: a 5-clique
+    of disequalities over 4 values has no solution, greedy fails on it,
+    and each extra 4-value variable multiplies the search space by 4."""
+
+    @staticmethod
+    def clique_with_extras(extras):
+        # The clique is created first, so its classes lead the search
+        # order and the search refutes it without enumerating the extras.
+        clique = [Var(f"K{i}", D4) for i in range(5)]
+        chain = [Var(f"E{i}", D4) for i in range(extras)]
+        atoms = [neq(a, b) for a, b in itertools.combinations(clique, 2)]
+        atoms += [neq(a, b) for a, b in zip(chain, chain[1:])]
+        return ConstraintFormula(atoms)
+
+    def test_limit_sits_between_the_cases(self):
+        assert 4**9 <= EXHAUSTIVE_LIMIT < 4**10
+
+    @pytest.mark.parametrize("extras", [0, 4])
+    def test_within_limit_returns_false(self, extras):
+        assert not satisfiable(self.clique_with_extras(extras))
+
+    def test_beyond_limit_raises(self):
+        with pytest.raises(SolverLimitError):
+            satisfiable(self.clique_with_extras(5))
 
 
 class TestNegate:
@@ -269,6 +323,41 @@ def _formula_strategy(n_vars=3, domain=D4):
 @settings(max_examples=150, deadline=None)
 @given(_formula_strategy())
 def test_satisfiable_matches_enumeration(case):
+    f, variables = case
+    assert satisfiable(f) == bool(models(f, variables))
+
+
+# Domains of sizes 1-4 over shared prefix values, so constants relate
+# variables of different domains; two size-2 domains are distinct objects
+# over equal values.
+MIXED_DOMAINS = [domain_of_symbols(f"m{k}", "abcd"[:k]) for k in range(1, 5)]
+MIXED_DOMAINS.append(domain_of_symbols("m2b", "ab"))
+
+
+@st.composite
+def _mixed_formula(draw):
+    """Three to five variables over one or two of the mixed domains, with
+    mostly variable-variable disequalities, so the greedy witness can fail
+    and leave the decision to the backtracking fallback."""
+    pool = draw(st.lists(st.sampled_from(MIXED_DOMAINS), min_size=1, max_size=2))
+    domains = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=5))
+    variables = [Var(f"M{i}", d) for i, d in enumerate(domains)]
+    atoms = []
+    for _ in range(draw(st.integers(3, 10))):
+        lhs = draw(st.sampled_from(variables))
+        peers = [
+            v for v in variables
+            if v != lhs and v.domain.values == lhs.domain.values
+        ]
+        rhs = draw(st.sampled_from(3 * peers + list(lhs.domain.values)))
+        polarity = draw(st.sampled_from([NEQ, NEQ, NEQ, EQ]))
+        atoms.append(AtomicConstraint(lhs, rhs, polarity))
+    return ConstraintFormula(atoms), variables
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_formula())
+def test_satisfiable_matches_enumeration_mixed_domains(case):
     f, variables = case
     assert satisfiable(f) == bool(models(f, variables))
 

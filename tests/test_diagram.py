@@ -371,6 +371,19 @@ class TestCanonicalize:
         )
         assert node_count(d) == 2
 
+    def test_interning_keys_on_domain_values(self):
+        # Equal value tuples share nodes whichever domain object carries
+        # them; a different tuple, even a reordering, never does.
+        same = domain_of_symbols("letters-again", ["a", "b", "c"])
+        reordered = domain_of_symbols("letters-reordered", ["c", "b", "a"])
+
+        def unconstrained(dom):
+            return make_node(si("dk", 1), Var("Y", dom), [(TRUE, ONE)])
+
+        assert unconstrained(same) is unconstrained(DOM)
+        assert unconstrained(reordered) is not unconstrained(DOM)
+        assert unconstrained(DOM2) is not unconstrained(DOM)
+
 
 class TestVariableSets:
     def test_closed_diagram_has_no_free_variables(self, shared_entangled):

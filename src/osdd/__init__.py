@@ -35,7 +35,6 @@ from .diagram import (
     ZERO,
     apply_constraint,
     bound_vars,
-    canonicalize,
     combine,
     free_vars,
     ground,

@@ -18,9 +18,10 @@ import json
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
-from .diagram import node_count
+from .diagram import node_count, osdd_and, to_proper
 from .diagram_io import format_osdd, parse_osdd, to_dot
 from .engine import EvalSession
 from .errors import OsddError, UsageError
@@ -107,30 +108,23 @@ def cmd_infer(args) -> int:
                 f"diagram is not measurable (at {report.offending_node}); "
                 "rerun with --mode exact"
             )
-    if not args.osdd and args.evidence:
-        from .diagram import osdd_and, to_proper
-
+    if args.evidence:
         start = time.perf_counter()
-        joint = to_proper(osdd_and(diagram, evidence_diagram))
-        if mode == "exact-measurable":
-            p_joint = exact_probability_measurable(joint, dists)
-            p_evidence = exact_probability_measurable(evidence_diagram, dists)
+        joint = infer(to_proper(osdd_and(diagram, evidence_diagram)), dists, mode)
+        evidence = infer(evidence_diagram, dists, mode)
+        if args.rational:
+            p_joint = Fraction(joint.probability_exact)
+            p_evidence = Fraction(evidence.probability_exact)
         else:
-            p_joint = exact_probability(joint, dists)
-            p_evidence = exact_probability(evidence_diagram, dists)
+            p_joint, p_evidence = joint.probability, evidence.probability
         if p_evidence == 0:
             raise UsageError("evidence has probability zero")
         value = p_joint / p_evidence
-        elapsed = (time.perf_counter() - start) * 1000.0
-        out = {
-            "probability": float(value),
-            "measurable": measurability(joint).measurable,
-            "node_count": node_count(joint),
-            "max_free_vars": 0,
-            "elapsed_ms": elapsed,
-        }
+        out = joint.as_dict()
+        out["probability"] = float(value)
         if args.rational:
             out["probability_exact"] = f"{value.numerator}/{value.denominator}"
+        out["elapsed_ms"] = (time.perf_counter() - start) * 1000.0
         print(json.dumps(out))
         return 0
     report = infer(diagram, dists, mode)
@@ -242,8 +236,6 @@ def _reproduce_palindrome(args) -> int:
             if args.joint:
                 k = max(2, n // 4)
                 start = time.perf_counter()
-                from .diagram import osdd_and, to_proper
-
                 q = session.query(f"query({n}, {k})")
                 to_proper(osdd_and(q, evidence_diagram))
                 joint_s = time.perf_counter() - start

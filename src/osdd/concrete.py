@@ -9,9 +9,17 @@ discovery).
 
 from __future__ import annotations
 
-from .diagram import SwitchRef
 from .errors import EvalError, OracleError
-from .program import COMPARISON_GOALS, Program
+from .program import (
+    COMPARISON_GOALS,
+    Program,
+    compare,
+    eval_arith,
+    for_range,
+    ground_of,
+    switch_ref,
+    term_of,
+)
 from .prolog import (
     Atom,
     LVar,
@@ -26,35 +34,6 @@ from .prolog import (
     resolve,
     unify,
 )
-from .terms import GroundTerm
-
-
-def _to_term(value: GroundTerm):
-    if isinstance(value.symbol, int):
-        return Num(value.symbol)
-    return Atom(value.symbol)
-
-
-def _ground_of(t):
-    if isinstance(t, Atom):
-        return GroundTerm(t.name)
-    if isinstance(t, Num) and isinstance(t.value, int):
-        return GroundTerm(t.value)
-    return None
-
-
-def _switch_ref(t):
-    if isinstance(t, Atom):
-        return SwitchRef(t.name)
-    if isinstance(t, Struct):
-        args = []
-        for a in t.args:
-            g = _ground_of(a)
-            if g is None:
-                return None
-            args.append(g)
-        return SwitchRef(t.name, tuple(args))
-    return None
 
 
 class FixedWorld:
@@ -145,36 +124,6 @@ def _instantiate_canon(t, opens):
     raise EvalError(f"bad snapshot entry {t!r}")
 
 
-_COMPARE = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "=<": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "=:=": lambda a, b: a == b,
-    "=\\=": lambda a, b: a != b,
-}
-
-
-def _eval_arith(t):
-    if isinstance(t, Num):
-        return t.value
-    if isinstance(t, Struct):
-        args = [_eval_arith(a) for a in t.args]
-        if t.name == "+" and len(args) == 2:
-            return args[0] + args[1]
-        if t.name == "-" and len(args) == 2:
-            return args[0] - args[1]
-        if t.name == "-" and len(args) == 1:
-            return -args[0]
-        if t.name == "*" and len(args) == 2:
-            return args[0] * args[1]
-        if t.name == "//" and len(args) == 2:
-            return args[0] // args[1]
-        if t.name == "mod" and len(args) == 2:
-            return args[0] % args[1]
-    raise EvalError(f"cannot evaluate arithmetic term {t}")
-
-
 class WorldEvaluator:
     """Plain depth-first resolution over a program with ground outcomes.
 
@@ -247,20 +196,16 @@ class WorldEvaluator:
             if a != b:
                 yield from self._solve(rest, depth)
         elif name == "is" and arity == 2:
-            value = _eval_arith(resolve(goal.args[1]))
+            value = eval_arith(goal.args[1])
             mark = self.trail.mark()
             if unify(goal.args[0], Num(value), self.trail):
                 yield from self._solve(rest, depth)
             self.trail.undo_to(mark)
         elif name in COMPARISON_GOALS and arity == 2:
-            a = _eval_arith(resolve(goal.args[0]))
-            b = _eval_arith(resolve(goal.args[1]))
-            if _COMPARE[name](a, b):
+            if compare(name, goal.args[0], goal.args[1]):
                 yield from self._solve(rest, depth)
         elif name == "for" and arity == 3:
-            lo = _eval_arith(resolve(goal.args[1]))
-            hi = _eval_arith(resolve(goal.args[2]))
-            for i in range(lo, hi + 1):
+            for i in for_range(goal.args[1], goal.args[2]):
                 mark = self.trail.mark()
                 if unify(goal.args[0], Num(i), self.trail):
                     yield from self._solve(rest, depth)
@@ -272,13 +217,13 @@ class WorldEvaluator:
 
     def _msw(self, goal, rest, depth):
         s_t, k_t, x_t = goal.args
-        ref = _switch_ref(resolve(s_t))
-        inst = _ground_of(resolve(k_t))
+        ref = switch_ref(resolve(s_t))
+        inst = ground_of(resolve(k_t))
         if ref is None or inst is None:
             raise EvalError("msw switch and instance must be ground")
         for value in self.world.outcomes(ref, inst, self.program):
             mark = self.trail.mark()
-            if unify(x_t, _to_term(value), self.trail):
+            if unify(x_t, term_of(value), self.trail):
                 yield from self._solve(rest, depth)
             self.trail.undo_to(mark)
 

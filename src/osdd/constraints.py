@@ -197,27 +197,13 @@ class ConstraintGraph:
     recorded rather than raised.
     """
 
-    __slots__ = ("formula", "contradiction", "classes", "class_index", "neq_pairs")
+    __slots__ = ("contradiction", "classes", "class_index", "neq_pairs")
 
-    def __init__(self, formula, contradiction, classes, class_index, neq_pairs):
-        self.formula = formula
+    def __init__(self, contradiction, classes, class_index, neq_pairs):
         self.contradiction = contradiction
         self.classes = classes
         self.class_index = class_index
         self.neq_pairs = neq_pairs
-
-    @property
-    def nodes(self):
-        return tuple(self.class_index)
-
-    def class_of(self, term):
-        return self.class_index[term]
-
-    def ground_of_class(self, idx) -> Optional[GroundTerm]:
-        for t in self.classes[idx]:
-            if isinstance(t, GroundTerm):
-                return t
-        return None
 
     def eq_edges(self):
         """Node-level eq edges: every pair inside a class."""
@@ -310,7 +296,7 @@ def close(f: ConstraintFormula) -> ConstraintGraph:
     for cls in classes:
         consts = [t for t in cls if isinstance(t, GroundTerm)]
         if len(consts) > 1:
-            return ConstraintGraph(f, True, (), {}, frozenset())
+            return ConstraintGraph(True, (), {}, frozenset())
 
     neq_pairs = set()
     for atom in f.atoms:
@@ -318,7 +304,7 @@ def close(f: ConstraintFormula) -> ConstraintGraph:
             continue
         i, j = class_index[atom.lhs], class_index[atom.rhs]
         if i == j:
-            return ConstraintGraph(f, True, (), {}, frozenset())
+            return ConstraintGraph(True, (), {}, frozenset())
         neq_pairs.add(frozenset((i, j)))
 
     # Classes pinned to distinct constants are pairwise unequal.
@@ -327,7 +313,7 @@ def close(f: ConstraintFormula) -> ConstraintGraph:
     for i, j in itertools.combinations(pinned, 2):
         neq_pairs.add(frozenset((i, j)))
 
-    return ConstraintGraph(f, False, classes, class_index, frozenset(neq_pairs))
+    return ConstraintGraph(False, classes, class_index, frozenset(neq_pairs))
 
 
 def canonical_key(f: ConstraintFormula) -> bytes:

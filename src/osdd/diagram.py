@@ -108,12 +108,6 @@ _intern_lock = threading.Lock()
 _intern: dict = {}
 
 
-def leaf(value) -> Leaf:
-    if value not in (0, 1):
-        raise DiagramError(f"leaf value must be 0 or 1, got {value!r}")
-    return ONE if value else ZERO
-
-
 def bound_vars(d: Osdd) -> frozenset[Var]:
     """Output variables of all internal nodes."""
     if d.is_leaf:
@@ -213,52 +207,36 @@ def make_node(si: SwitchInstance, out: Var, edges) -> Osdd:
     return probe
 
 
+def internal_nodes(d: Osdd):
+    """Yield each distinct internal node once, depth-first in edge order."""
+    seen = set()
+    stack = [d]
+    while stack:
+        n = stack.pop()
+        if n.is_leaf or id(n) in seen:
+            continue
+        seen.add(id(n))
+        yield n
+        stack.extend(c for _, c in reversed(n.edges))
+
+
 def has_live_leaf(d: Osdd) -> bool:
     """True iff some path reaches the 1 leaf (the diagram is not empty)."""
-    seen = set()
-
-    def walk(n):
-        if n.is_leaf:
-            return n.value == 1
-        if id(n) in seen:
-            return False
-        seen.add(id(n))
-        return any(walk(c) for _, c in n.edges)
-
-    return walk(d)
+    if d.is_leaf:
+        return d.value == 1
+    return any(
+        c.is_leaf and c.value == 1 for n in internal_nodes(d) for _, c in n.edges
+    )
 
 
 def node_count(d: Osdd) -> int:
     """Number of distinct internal nodes (shared subtrees counted once)."""
-    seen = set()
-
-    def walk(n):
-        if n.is_leaf or id(n) in seen:
-            return
-        seen.add(id(n))
-        for _, c in n.edges:
-            walk(c)
-
-    walk(d)
-    return len(seen)
+    return sum(1 for _ in internal_nodes(d))
 
 
 def max_free_vars(d: Osdd) -> int:
     """Largest free-variable set over all subdiagrams (the V diagnostic)."""
-    best = 0
-    seen = set()
-
-    def walk(n):
-        nonlocal best
-        if n.is_leaf or id(n) in seen:
-            return
-        seen.add(id(n))
-        best = max(best, len(free_vars(n)))
-        for _, c in n.edges:
-            walk(c)
-
-    walk(d)
-    return best
+    return max((len(free_vars(n)) for n in internal_nodes(d)), default=0)
 
 
 def substitute(d: Osdd, mapping: dict[Var, Var]) -> Osdd:
@@ -291,10 +269,6 @@ def substitute(d: Osdd, mapping: dict[Var, Var]) -> Osdd:
         return out
 
     return walk(d)
-
-
-def all_vars(d: Osdd) -> frozenset[Var]:
-    return bound_vars(d) | free_vars(d)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +313,7 @@ def _combine(a, b, op, memo):
         )
     else:
         if b.out != a.out:
-            if a.out in all_vars(b):
+            if a.out in bound_vars(b) or a.out in free_vars(b):
                 raise DiagramError(
                     f"cannot align roots {a.si}: variable {a.out} already "
                     "occurs in the second operand"
@@ -469,11 +443,6 @@ def _normalize(d: Osdd, path: ConstraintFormula) -> Osdd:
         for g, (_, child) in zip(labels, kept)
     ]
     return make_node(d.si, d.out, out_edges)
-
-
-def canonicalize(d: Osdd) -> Osdd:
-    """Sort edges canonically and merge equivalent subtrees; idempotent."""
-    return normalize(d)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .diagram import (
     bound_vars,
     canonical_instance_var,
     has_live_leaf,
+    make_node,
     normalize,
     osdd_and,
     osdd_or,
@@ -45,6 +46,11 @@ from .program import (
     CONSTRAINT_GOALS,
     Clause,
     Program,
+    compare,
+    eval_arith,
+    for_range,
+    ground_of,
+    switch_ref,
 )
 from .prolog import (
     Atom,
@@ -329,7 +335,7 @@ class EvalSession:
         elif name == "is" and arity == 2:
             yield from self._is(goal, rest, depth)
         elif name in COMPARISON_GOALS and arity == 2:
-            if self._compare(name, goal.args):
+            if compare(name, goal.args[0], goal.args[1]):
                 yield from self._solve(rest, depth)
         elif name == "for" and arity == 3:
             yield from self._for(goal, rest, depth)
@@ -451,7 +457,7 @@ class EvalSession:
                 return AtomicConstraint(svar, other, polarity)
             except ValueError as exc:
                 raise EvalError(str(exc))
-        value = _ground_of(other)
+        value = ground_of(other)
         if value is None:
             raise EvalError(f"switch outcomes are atomic; got {other}")
         if value not in svar.domain:
@@ -460,8 +466,8 @@ class EvalSession:
 
     def _msw(self, goal, rest, depth):
         s_t, k_t, x_t, o1_t, o2_t = goal.args
-        ref = _switch_ref(resolve(s_t))
-        inst = _ground_of(resolve(k_t))
+        ref = switch_ref(resolve(s_t))
+        inst = ground_of(resolve(k_t))
         if ref is None or inst is None:
             raise EvalError(
                 f"msw switch and instance must be ground, got {resolve(s_t)}, "
@@ -494,10 +500,10 @@ class EvalSession:
         gamma = cf.ConstraintFormula(gamma_atoms)
         si = SwitchInstance(ref, inst)
         if gamma.is_empty():
-            node = make_msw_node(si, y, [(cf.TRUE, ONE)])
+            node = make_node(si, y, [(cf.TRUE, ONE)])
         else:
             edges = [(gamma, ONE)] + [(m, ZERO) for m in cf.negate(gamma)]
-            node = make_msw_node(si, y, edges)
+            node = make_node(si, y, edges)
         o1 = deref(o1_t)
         combined = normalize(osdd_and(o1.value, node))
         if not unify(o2_t, OsddVal(combined), self.trail):
@@ -578,7 +584,7 @@ class EvalSession:
 
     def _is(self, goal, rest, depth):
         lhs, rhs = goal.args
-        value = _eval_arith(resolve(rhs))
+        value = eval_arith(rhs)
         emitted = []
         mark = self.trail.mark()
         if unify(lhs, Num(value), self.trail, self._emitter(emitted)):
@@ -587,84 +593,13 @@ class EvalSession:
             yield from self._solve(rest, depth)
         self.trail.undo_to(mark)
 
-    def _compare(self, op, args):
-        a = _eval_arith(resolve(args[0]))
-        b = _eval_arith(resolve(args[1]))
-        return _COMPARE[op](a, b)
-
     def _for(self, goal, rest, depth):
         p_t, lo_t, hi_t = goal.args
-        lo = _eval_arith(resolve(lo_t))
-        hi = _eval_arith(resolve(hi_t))
-        if not (isinstance(lo, int) and isinstance(hi, int)):
-            raise EvalError("for/3 bounds must be integers")
-        for i in range(lo, hi + 1):
+        for i in for_range(lo_t, hi_t):
             mark = self.trail.mark()
             if unify(p_t, Num(i), self.trail):
                 yield from self._solve(rest, depth)
             self.trail.undo_to(mark)
-
-
-def make_msw_node(si, out, edges):
-    from .diagram import make_node
-
-    return make_node(si, out, edges)
-
-
-_COMPARE = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "=<": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "=:=": lambda a, b: a == b,
-    "=\\=": lambda a, b: a != b,
-}
-
-
-def _eval_arith(t):
-    if isinstance(t, Num):
-        return t.value
-    if isinstance(t, Struct):
-        args = [_eval_arith(a) for a in t.args]
-        if t.name == "+" and len(args) == 2:
-            return args[0] + args[1]
-        if t.name == "-" and len(args) == 2:
-            return args[0] - args[1]
-        if t.name == "-" and len(args) == 1:
-            return -args[0]
-        if t.name == "*" and len(args) == 2:
-            return args[0] * args[1]
-        if t.name == "//" and len(args) == 2:
-            return args[0] // args[1]
-        if t.name == "/" and len(args) == 2:
-            from fractions import Fraction
-
-            return Fraction(args[0]) / Fraction(args[1])
-        if t.name == "mod" and len(args) == 2:
-            return args[0] % args[1]
-    raise EvalError(f"cannot evaluate arithmetic term {t}")
-
-
-def _ground_of(t):
-    if isinstance(t, Atom):
-        return GroundTerm(t.name)
-    if isinstance(t, Num) and isinstance(t.value, int):
-        return GroundTerm(t.value)
-    return None
-
-
-def _switch_ref(t):
-    if isinstance(t, Atom):
-        return SwitchRef(t.name)
-    if isinstance(t, Struct):
-        args = []
-        for a in t.args:
-            g = _ground_of(a)
-            if g is None:
-                return None
-            args.append(g)
-        return SwitchRef(t.name, tuple(args))
-    return None
 
 
 def evaluate(program: Program, query, session: EvalSession | None = None) -> Osdd:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import constraints as cf
 from .constraints import TRUE, ConstraintFormula
-from .diagram import Mdd, Osdd, free_vars, max_free_vars, node_count
+from .diagram import Mdd, Osdd, free_vars, internal_nodes, max_free_vars, node_count
 from .errors import DiagramError
 from .program import Program, SwitchSpec
 from .terms import GroundTerm, Var, term_key
@@ -52,17 +52,9 @@ class DistMap:
         return p if self.exact else float(p)
 
     def all_uniform(self, d: Osdd) -> bool:
-        seen = set()
-
-        def walk(n):
-            if n.is_leaf or id(n) in seen:
-                return True
-            seen.add(id(n))
-            if not self.spec(n.si.switch).dist.is_uniform:
-                return False
-            return all(walk(c) for _, c in n.edges)
-
-        return walk(d)
+        return all(
+            self.spec(n.si.switch).dist.is_uniform for n in internal_nodes(d)
+        )
 
 
 def _admitted_values(label: ConstraintFormula, out: Var, env: dict):

@@ -3,7 +3,8 @@
 Brute force enumerates every assignment of outcomes to the reachable
 switch instances, evaluates the query (and evidence) per world by plain
 logic evaluation, and sums world probabilities.  It exists to certify
-the symbolic engine, so it deliberately shares none of its code paths.
+the symbolic engine, so it shares none of its resolution or diagram
+code; only the builtin semantics in :mod:`osdd.program` are common.
 """
 
 from __future__ import annotations

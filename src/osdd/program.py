@@ -16,6 +16,7 @@ see plain definite clauses:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,9 +28,11 @@ from .prolog import (
     Num,
     PVar,
     Struct,
+    deref,
     functor_of,
     make_list,
     read_terms,
+    resolve,
 )
 from .terms import GroundTerm, TypeDomain
 
@@ -47,6 +50,86 @@ _NEGATION = {
     "=:=": "=\\=",
     "=\\=": "=:=",
 }
+
+
+# ---------------------------------------------------------------------------
+# Builtin semantics shared by the symbolic and the concrete evaluator
+
+
+def ground_of(t) -> GroundTerm | None:
+    """The ground term an atomic runtime term denotes, else None."""
+    if isinstance(t, Atom):
+        return GroundTerm(t.name)
+    if isinstance(t, Num) and isinstance(t.value, int):
+        return GroundTerm(t.value)
+    return None
+
+
+def term_of(value: GroundTerm):
+    """The runtime term for a ground term (inverse of :func:`ground_of`)."""
+    if isinstance(value.symbol, int):
+        return Num(value.symbol)
+    return Atom(value.symbol)
+
+
+def switch_ref(t) -> SwitchRef | None:
+    """The switch a resolved msw/3 first argument names, else None."""
+    if isinstance(t, Atom):
+        return SwitchRef(t.name)
+    if isinstance(t, Struct):
+        args = []
+        for a in t.args:
+            g = ground_of(a)
+            if g is None:
+                return None
+            args.append(g)
+        return SwitchRef(t.name, tuple(args))
+    return None
+
+
+_ARITH = {
+    ("+", 2): operator.add,
+    ("-", 2): operator.sub,
+    ("-", 1): operator.neg,
+    ("*", 2): operator.mul,
+    ("//", 2): operator.floordiv,
+    ("/", 2): lambda a, b: Fraction(a) / Fraction(b),
+    ("mod", 2): operator.mod,
+}
+
+_COMPARE = {
+    "<": operator.lt,
+    ">": operator.gt,
+    "=<": operator.le,
+    ">=": operator.ge,
+    "=:=": operator.eq,
+    "=\\=": operator.ne,
+}
+
+
+def eval_arith(t):
+    """Value of an arithmetic expression over runtime terms."""
+    t = deref(t)
+    if isinstance(t, Num):
+        return t.value
+    if isinstance(t, Struct):
+        fn = _ARITH.get((t.name, len(t.args)))
+        if fn is not None:
+            return fn(*[eval_arith(a) for a in t.args])
+    raise EvalError(f"cannot evaluate arithmetic term {resolve(t)}")
+
+
+def compare(op: str, lhs, rhs) -> bool:
+    """Truth of the comparison goal ``lhs op rhs`` (op in COMPARISON_GOALS)."""
+    return _COMPARE[op](eval_arith(lhs), eval_arith(rhs))
+
+
+def for_range(lo_t, hi_t) -> range:
+    """The values ``for(I, Lo, Hi)`` binds I to, in order."""
+    lo, hi = eval_arith(lo_t), eval_arith(hi_t)
+    if not (isinstance(lo, int) and isinstance(hi, int)):
+        raise EvalError("for/3 bounds must be integers")
+    return range(lo, hi + 1)
 
 
 @dataclass(frozen=True)
@@ -137,7 +220,7 @@ def _pattern_matches(pattern, ref: SwitchRef) -> bool:
         return False
     if len(args) == len(ref.args):
         return all(
-            isinstance(p, PVar) or _ground_term(p) == a
+            isinstance(p, PVar) or _declared_value(p) == a
             for p, a in zip(args, ref.args)
         )
     # Tolerate a parameterized declaration like s(_) naming the bare
@@ -157,12 +240,11 @@ def _pattern_parts(pattern):
     raise ParseError(f"bad switch pattern {pattern}")
 
 
-def _ground_term(t) -> GroundTerm:
-    if isinstance(t, Atom):
-        return GroundTerm(t.name)
-    if isinstance(t, Num) and isinstance(t.value, int):
-        return GroundTerm(t.value)
-    raise ParseError(f"{t} is not an atomic ground term")
+def _declared_value(t) -> GroundTerm:
+    g = ground_of(t)
+    if g is None:
+        raise ParseError(f"{t} is not an atomic ground term")
+    return g
 
 
 def _build_spec(ref, values_decl, dist_decl) -> SwitchSpec:
@@ -181,7 +263,7 @@ def _build_spec(ref, values_decl, dist_decl) -> SwitchSpec:
         return SwitchSpec(domain, Distribution("uniform", (Fraction(1, n),) * n))
     if values_decl is None:
         raise EvalError(f"switch {ref} has no values declaration")
-    domain = TypeDomain(str(ref), tuple(_ground_term(v) for v in values_decl))
+    domain = TypeDomain(str(ref), tuple(_declared_value(v) for v in values_decl))
     if dist_decl == Atom("uniform"):
         n = domain.size
         return SwitchSpec(domain, Distribution("uniform", (Fraction(1, n),) * n))

@@ -60,7 +60,6 @@ class Struct:
 
 
 NIL = Atom("[]")
-TRUE_GOAL = Atom("true")
 
 
 def _format_list(t):
@@ -184,10 +183,6 @@ class _Parser:
         if val != value:
             self.error(f"expected {value!r}")
         return self.advance()
-
-    def at_clause_end(self):
-        kind, val, _, _ = self.peek()
-        return val == "." or kind == "eof"
 
     def parse_term(self, max_prec=1200):
         left = self.parse_primary(max_prec)
@@ -313,7 +308,7 @@ class LVar:
 
 
 class Trail:
-    """Undo log for bindings, switch markings, and custom effects."""
+    """Undo log for variable bindings and switch-variable markings."""
 
     def __init__(self):
         self.entries = []
@@ -327,18 +322,13 @@ class Trail:
     def push_svar(self, lvar):
         self.entries.append(("svar", lvar))
 
-    def push_undo(self, fn):
-        self.entries.append(("undo", fn))
-
     def undo_to(self, mark):
         while len(self.entries) > mark:
-            kind, payload = self.entries.pop()
+            kind, lvar = self.entries.pop()
             if kind == "bind":
-                payload.ref = None
-            elif kind == "svar":
-                payload.svar = None
+                lvar.ref = None
             else:
-                payload()
+                lvar.svar = None
 
 
 def deref(t):
@@ -350,11 +340,6 @@ def deref(t):
 def bind(lvar, value, trail):
     lvar.ref = value
     trail.push_bind(lvar)
-
-
-def is_switch_var(t):
-    t = deref(t)
-    return isinstance(t, LVar) and t.svar is not None
 
 
 def unify(a, b, trail, emit=None):

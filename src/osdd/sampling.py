@@ -186,7 +186,6 @@ class EstimatorState:
 class SamplingRun:
     state: EstimatorState
     rows: list = field(default_factory=list)
-    samples: list = field(default_factory=list)
     mode: str = ""
     seed: int = 0
     rejected: int = 0
@@ -209,7 +208,6 @@ def estimate(
     budget: int = 1000,
     seed: int = 0,
     stride: int = 100,
-    keep_samples: bool = False,
     session=None,
 ) -> SamplingRun:
     """Run a sampling experiment and return the estimator plus CSV rows.
@@ -243,11 +241,12 @@ def estimate(
     for i in range(budget):
         if mode == "lw":
             sample = lw_sample(target, dists, rng)
+            consistent = sample.consistent
             if evidence is None:
-                u = sample.weight if sample.consistent else 0.0
-                state.update(u, 1.0, sample.consistent)
+                u = sample.weight if consistent else 0.0
+                state.update(u, 1.0, consistent)
             else:
-                if sample.consistent:
+                if consistent:
                     world = SamplingWorld(rng, dict(sample.assignment))
                     q_true = WorldEvaluator(program, world).holds(query)
                     state.update(
@@ -256,28 +255,19 @@ def estimate(
                 else:
                     state.update(0.0, 0.0, False)
         else:
-            world = SamplingWorld(rng)
-            ev = WorldEvaluator(program, world)
+            ev = WorldEvaluator(program, SamplingWorld(rng))
             if evidence is None:
-                ok = ev.holds(query)
-                sample = WeightedSample(
-                    world.assignment, 1.0, CONSISTENT if ok else REJECTED
-                )
-                state.update(1.0 if ok else 0.0, 1.0, ok)
+                consistent = ev.holds(query)
+                state.update(1.0 if consistent else 0.0, 1.0, consistent)
             else:
-                e_true = ev.holds(evidence)
-                sample = WeightedSample(
-                    world.assignment, 1.0, CONSISTENT if e_true else REJECTED
-                )
-                if e_true:
+                consistent = ev.holds(evidence)
+                if consistent:
                     q_true = ev.holds(query)
                     state.update(1.0 if q_true else 0.0, 1.0, True)
                 else:
                     state.update(0.0, 0.0, False)
-        if not sample.consistent:
+        if not consistent:
             run.rejected += 1
-        if keep_samples:
-            run.samples.append(sample)
         done = i + 1
         if done % stride == 0 or done == budget:
             if not run.rows or not run.rows[-1].startswith(f"{done},"):

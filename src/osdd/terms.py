@@ -126,7 +126,3 @@ class Var:
 def term_key(t):
     """Sort key implementing the global order over Vars and GroundTerms."""
     return t.sort_key()
-
-
-def term_lt(a, b) -> bool:
-    return term_key(a) < term_key(b)

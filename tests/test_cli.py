@@ -127,6 +127,21 @@ class TestInfer:
         report = json.loads(stdout)
         assert report["probability_exact"] == "1/4"
 
+    def test_conditional_report_describes_the_joint(self, program_files, capsys):
+        code, stdout, _ = run_cli(
+            capsys,
+            "infer",
+            "--program", program_files["palindrome"],
+            "--query", "query(8, 2)",
+            "--evidence", "evidence(8)",
+        )
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["probability"] == 0.25
+        assert report["node_count"] == 20
+        assert report["max_free_vars"] == 4
+        assert report["measurable"] is False
+
     def test_oracle_mode_cross_checks(self, program_files, capsys):
         code, stdout, _ = run_cli(
             capsys,
@@ -235,6 +250,21 @@ class TestSample:
         summary = json.loads(stdout.strip().splitlines()[-1])
         assert summary["rng"] == "philox"
         assert summary["samples"] == 50
+
+
+    def test_fractional_for_bound_is_a_user_error(self, capsys, tmp_path):
+        src = tmp_path / "for.psm"
+        src.write_text(
+            "p :- for(I, 1, 5/2), msw(c, I, a).\n"
+            "values(c, [a, b]).\nset_sw(c, uniform).\n"
+        )
+        for mode in ("lw", "independent"):
+            code, _, err = run_cli(
+                capsys, "sample", "--program", src, "--query", "p",
+                "--mode", mode, "--samples", 5,
+            )
+            assert code == 1
+            assert "for/3 bounds must be integers" in err
 
 
 class TestReproduce:

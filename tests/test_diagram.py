@@ -14,11 +14,12 @@ from osdd.diagram import (
     apply_constraint,
     bound_vars,
     canonical_instance_var,
-    canonicalize,
     combine,
     free_vars,
     ground,
+    has_live_leaf,
     make_node,
+    max_free_vars,
     mdd_combine,
     node_count,
     normalize,
@@ -28,6 +29,7 @@ from osdd.diagram import (
     to_proper,
     validate,
 )
+from osdd.engine import EvalSession
 from osdd.errors import DiagramError
 from osdd.terms import GroundTerm, Var, domain_of_symbols
 
@@ -336,13 +338,39 @@ class TestGround:
         assert hits == 27 - 6  # all but the 3! distinct-value worlds
 
 
+class TestNodeStatistics:
+    @pytest.mark.parametrize(
+        "which, nodes, max_free, live",
+        [
+            ("same_birthday(3)", 3, 2, True),
+            ("evidence(6)", 6, 3, True),
+            ("ZERO", 0, 0, False),
+            ("ONE", 0, 0, True),
+        ],
+    )
+    def test_pinned_statistics(
+        self, which, nodes, max_free, live, birthday_program, palindrome_program
+    ):
+        if which == "ZERO":
+            d = ZERO
+        elif which == "ONE":
+            d = ONE
+        elif which.startswith("same_birthday"):
+            d = EvalSession(birthday_program).query(which)
+        else:
+            d = EvalSession(palindrome_program).query(which)
+        assert node_count(d) == nodes
+        assert max_free_vars(d) == max_free
+        assert has_live_leaf(d) is live
+
+
 class TestCanonicalize:
     def test_idempotent(self):
         rng = random.Random(29)
         chain = instance_chain("id", DOM, 3)
         for _ in range(10):
             d = random_proper_diagram(rng, chain)
-            assert canonicalize(canonicalize(d)) is canonicalize(d)
+            assert normalize(normalize(d)) is normalize(d)
 
     def test_merges_renamed_subtrees(self):
         s = SwitchRef("mg")

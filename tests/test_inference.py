@@ -7,7 +7,7 @@ import pytest
 
 from osdd.diagram import ONE, ZERO, combine, ground, to_proper
 from osdd.engine import EvalSession
-from osdd.errors import DiagramError
+from osdd.errors import DiagramError, EvalError
 from osdd.exact import (
     DistMap,
     exact_probability,
@@ -23,6 +23,7 @@ from osdd.oracle import (
 )
 from osdd.program import parse_program
 from osdd.programs import birthday_source
+from osdd.sampling import estimate
 
 from conftest import instance_chain, random_proper_diagram
 
@@ -183,6 +184,39 @@ class TestAgainstIndependentOracles:
             pb = exact_probability(b, dm)
             por = exact_probability(to_proper(combine(a, b, "or")), dm)
             assert por >= max(pa, pb)
+
+
+class TestSharedBuiltins:
+    """The diagram engine and the concrete evaluator (oracle, samplers)
+    give builtins one meaning."""
+
+    DIVISION = (
+        "p :- 3/2 > 1, msw(c, 1, a).\n"
+        "values(c, [a, b]).\nset_sw(c, uniform).\n"
+    )
+    FRACTIONAL_FOR = (
+        "p :- for(I, 1, 5/2), msw(c, I, a).\n"
+        "values(c, [a, b]).\nset_sw(c, uniform).\n"
+    )
+
+    def test_division_agrees_with_the_oracle(self):
+        prog = parse_program(self.DIVISION)
+        d = EvalSession(prog).query("p")
+        assert exact_probability(d, DistMap(prog, exact=True)) == Fraction(1, 2)
+        assert brute_force_probability(prog, "p") == Fraction(1, 2)
+        for mode in ("lw", "independent"):
+            run = estimate(prog, "p", mode=mode, budget=20, stride=10)
+            assert run.state.n_total == 20
+
+    def test_fractional_for_bound_is_an_eval_error_everywhere(self):
+        prog = parse_program(self.FRACTIONAL_FOR)
+        with pytest.raises(EvalError, match="for/3 bounds"):
+            EvalSession(prog).query("p")
+        with pytest.raises(EvalError, match="for/3 bounds"):
+            brute_force_probability(prog, "p")
+        for mode in ("lw", "independent"):
+            with pytest.raises(EvalError, match="for/3 bounds"):
+                estimate(prog, "p", mode=mode, budget=5)
 
 
 class TestInferReport:

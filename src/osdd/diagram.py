@@ -362,12 +362,19 @@ def apply_constraint(d: Osdd, beta: AtomicConstraint) -> Osdd:
             f"constraint {beta} mentions no variable bound by the diagram"
         )
     members = cf.negate(cf.formula(beta))
+    memo = {}
 
-    def walk(n, seen):
+    # A node's rewrite depends only on which needed variables are still
+    # unbound above it, so each (node, missing) pair is rebuilt once.
+    def walk(n, missing):
         if n.is_leaf:
             return n
-        seen = seen | {n.out}
-        if needed <= seen:
+        key = (id(n), missing)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        missing = missing - {n.out}
+        if not missing:
             edges = []
             for g, child in n.edges:
                 g2 = g.conjoin(beta)
@@ -375,10 +382,15 @@ def apply_constraint(d: Osdd, beta: AtomicConstraint) -> Osdd:
                     edges.append((g2, child))
             for m in members:
                 edges.append((m, ZERO))
-            return make_node(n.si, n.out, edges)
-        return make_node(n.si, n.out, [(g, walk(child, seen)) for g, child in n.edges])
+            result = make_node(n.si, n.out, edges)
+        else:
+            result = make_node(
+                n.si, n.out, [(g, walk(child, missing)) for g, child in n.edges]
+            )
+        memo[key] = result
+        return result
 
-    return walk(d, set())
+    return walk(d, frozenset(needed))
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +407,51 @@ def normalize(d: Osdd, path: ConstraintFormula = TRUE) -> Osdd:
     that the path plus the rest of the label already entail (only when
     absolute mutual exclusion against the current siblings survives),
     re-sorts edges, and re-interns so equivalent subtrees share.
+
+    ``path`` must be satisfiable.  Only its atoms connected, through
+    shared variables, to a variable of ``d`` are kept: every formula the
+    subtree tests is ``path`` conjoined with labels over ``d``'s
+    variables, and the dropped atoms share no variable with it and are
+    satisfiable on their own, so no answer changes.  The memo is keyed
+    on that restricted path, so its size follows diagram nodes rather
+    than root-to-leaf paths.
     """
     if d.is_leaf:
         return d
+    path = _restrict(path, d)
     memo_key = (id(d), path.atoms)
     cached = _normalize_memo.get(memo_key)
     if cached is not None:
         return cached
     result = _normalize(d, path)
-    _normalize_memo[memo_key] = result
+    with _intern_lock:
+        _normalize_memo[memo_key] = result
     return result
+
+
+def _restrict(path: ConstraintFormula, d: Osdd) -> ConstraintFormula:
+    """The atoms of ``path`` connected to a variable of ``d`` through
+    shared variables."""
+    free, bound = free_vars(d), bound_vars(d)
+    reached = set()
+    kept = []
+    pending = path.atoms
+    grew = True
+    while pending and grew:
+        grew = False
+        rest = []
+        for atom in pending:
+            vs = atom.variables()
+            if any(v in free or v in bound or v in reached for v in vs):
+                kept.append(atom)
+                reached.update(vs)
+                grew = True
+            else:
+                rest.append(atom)
+        pending = rest
+    if not pending:
+        return path
+    return ConstraintFormula(kept)
 
 
 def _normalize(d: Osdd, path: ConstraintFormula) -> Osdd:

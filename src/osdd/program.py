@@ -115,7 +115,11 @@ def eval_arith(t):
     if isinstance(t, Struct):
         fn = _ARITH.get((t.name, len(t.args)))
         if fn is not None:
-            return fn(*[eval_arith(a) for a in t.args])
+            args = [eval_arith(a) for a in t.args]
+            try:
+                return fn(*args)
+            except ZeroDivisionError:
+                raise EvalError(f"division by zero in {resolve(t)}") from None
     raise EvalError(f"cannot evaluate arithmetic term {resolve(t)}")
 
 

@@ -1,10 +1,12 @@
 """Diagrams stay byte-identical: ``format_osdd`` digests against goldens.
 
 The goldens were recorded before satisfiability switched to lazy residual
-domains and interning switched to domain identity keys; both changes must
-leave every diagram unchanged.  The builds run in a fresh interpreter
-because variable names (``X<k>``) come from a process-global table, so
-in-process results would depend on which tests ran first.
+domains and interning switched to domain identity keys, and the palindrome
+joint goldens before ``apply_constraint`` and ``normalize`` were memoized
+per node; these changes must leave every diagram unchanged.  The builds
+run in a fresh interpreter because variable names (``X<k>``) come from a
+process-global table, so in-process results would depend on which tests
+ran first (and on which builds ran earlier in the same script).
 """
 
 import os
@@ -52,19 +54,55 @@ GOLDEN = {
 }
 
 
-def test_format_osdd_digests_match_goldens():
+JOINT_SCRIPT = """
+import hashlib
+from osdd.diagram import osdd_and, to_proper
+from osdd.diagram_io import format_osdd
+from osdd.engine import EvalSession
+from osdd.program import parse_program
+from osdd.programs import PALINDROME
+
+
+def digest(d):
+    return hashlib.sha256(format_osdd(d).encode()).hexdigest()
+
+
+palindrome = parse_program(PALINDROME)
+for n, k in [(10, 2), (12, 2), (14, 3)]:
+    s = EvalSession(palindrome)
+    joint = to_proper(osdd_and(s.query(f"query({n}, {k})"), s.query(f"evidence({n})")))
+    print(f"palindrome {n} {k}", digest(joint))
+print("evidence 12", digest(EvalSession(palindrome).query("evidence(12)")))
+"""
+
+JOINT_GOLDEN = {
+    "palindrome 10 2": "50a4aeb3b4087ad65d7dd3a408826587cc91239c44a35b49e703ac54fce5920e",
+    "palindrome 12 2": "3d2fa26d45c779bf48b912af49c4d96a7658ea1ec42d040df6a87242b4102ab3",
+    "palindrome 14 3": "563f0c42684706b44b2320957ca9e922f8b9e36c5288094df6314c3f846d1d8b",
+    "evidence 12": "30b16b01677ed22e09176eb5657003c771befb17d1c14b0408b649559ee98aca",
+}
+
+
+def _digests(script):
     src = os.path.dirname(os.path.dirname(os.path.abspath(osdd.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
         check=True,
     ).stdout
-    got = dict(line.rsplit(" ", 1) for line in out.splitlines())
-    assert got == GOLDEN
+    return dict(line.rsplit(" ", 1) for line in out.splitlines())
+
+
+def test_format_osdd_digests_match_goldens():
+    assert _digests(SCRIPT) == GOLDEN
+
+
+def test_palindrome_joint_digests_match_goldens():
+    assert _digests(JOINT_SCRIPT) == JOINT_GOLDEN

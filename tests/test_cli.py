@@ -154,6 +154,38 @@ class TestInfer:
         report = json.loads(stdout)
         assert report["abs_difference"] <= 1e-12
 
+    def test_oracle_mode_honours_evidence(self, program_files, capsys):
+        code, stdout, _ = run_cli(
+            capsys,
+            "infer",
+            "--program", program_files["palindrome"],
+            "--query", "query(4, 2)",
+            "--evidence", "evidence(4)",
+            "--mode", "oracle",
+        )
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["probability"] == 0.5
+        assert report["oracle"] == 0.5
+        assert report["abs_difference"] == 0
+
+    def test_division_by_zero_is_a_user_error(self, capsys, tmp_path):
+        src = tmp_path / "div.psm"
+        src.write_text(
+            "p :- X is 1//0, msw(c, 1, a).\n"
+            "values(c, [a, b]).\nset_sw(c, uniform).\n"
+        )
+        runs = [("infer", "--mode", "exact")] + [
+            ("sample", "--mode", mode, "--samples", 5)
+            for mode in ("lw", "independent")
+        ]
+        for command, *options in runs:
+            code, _, err = run_cli(
+                capsys, command, "--program", src, "--query", "p", *options
+            )
+            assert code == 1
+            assert "division by zero" in err
+
     def test_round_trip_probability_bit_equal(self, program_files, capsys):
         out = program_files["dir"] / "rt.osdd"
         run_cli(

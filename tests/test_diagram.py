@@ -1,10 +1,15 @@
 """Diagram algebra: validation, combination, application, rewriting,
 grounding, canonicalization."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import osdd
+from osdd import constraints as cf
 from osdd.constraints import TRUE, eq, formula, neq, satisfiable
 from osdd.diagram import (
     ONE,
@@ -18,6 +23,7 @@ from osdd.diagram import (
     free_vars,
     ground,
     has_live_leaf,
+    internal_nodes,
     make_node,
     max_free_vars,
     mdd_combine,
@@ -255,6 +261,77 @@ class TestApplyConstraint:
             apply_constraint(d, eq(other, A))
 
 
+def apply_constraint_by_paths(d, beta):
+    """Reference: the unmemoized walk that visits a node once per path."""
+    needed = {v for v in beta.variables() if v in bound_vars(d)}
+    members = cf.negate(cf.formula(beta))
+
+    def walk(n, seen):
+        if n.is_leaf:
+            return n
+        seen = seen | {n.out}
+        if needed <= seen:
+            edges = [
+                (g.conjoin(beta), child)
+                for g, child in n.edges
+                if satisfiable(g.conjoin(beta))
+            ]
+            edges += [(m, ZERO) for m in members]
+            return make_node(n.si, n.out, edges)
+        return make_node(n.si, n.out, [(g, walk(c, seen)) for g, c in n.edges])
+
+    return walk(d, set())
+
+
+@pytest.mark.parametrize(
+    "program, query",
+    [
+        ("palindrome", "query(8, 2)"),
+        ("palindrome", "evidence(8)"),
+        ("palindrome", "joint(8, 2)"),
+        ("birthday", "same_birthday(3)"),
+        ("toy_birthday", "same_birthday(4)"),
+    ],
+)
+def test_apply_constraint_matches_path_walking_reference(
+    program, query, request
+):
+    prog = request.getfixturevalue(f"{program}_program")
+    session = EvalSession(prog)
+    if query.startswith("joint"):
+        d = to_proper(
+            osdd_and(session.query("query(8, 2)"), session.query("evidence(8)"))
+        )
+    else:
+        d = session.query(query)
+    variables = sorted(bound_vars(d), key=lambda v: v.uid)
+    betas = [eq(v, v.domain.values[0]) for v in variables]
+    betas += [neq(v, v.domain.values[-1]) for v in variables]
+    for i, x in enumerate(variables):
+        for y in variables[i + 1 :]:
+            betas += [eq(x, y), neq(x, y)]
+    for beta in betas:
+        assert apply_constraint(d, beta) is apply_constraint_by_paths(d, beta)
+
+
+def test_apply_constraint_shared_node_under_different_bindings():
+    # The (sn, 3) node is reached with Y bound on one path and not on the
+    # other, so it must be rewritten on the first and left alone on the
+    # second.
+    x, y, z = (var for _, var in instance_chain("sn", DOM, 3))
+    shared = make_node(si("sn", 3), z, [(TRUE, ONE)])
+    middle = make_node(si("sn", 2), y, [(TRUE, shared)])
+    d = make_node(
+        si("sn", 1), x, [(formula(eq(x, A)), middle), (formula(neq(x, A)), shared)]
+    )
+    for beta in (eq(y, z), neq(y, z), eq(x, z)):
+        assert apply_constraint(d, beta) is apply_constraint_by_paths(d, beta)
+    rewritten = apply_constraint(d, eq(y, z))
+    below = dict(rewritten.edges)
+    assert below[formula(neq(x, A))] is shared
+    assert below[formula(eq(x, A))].edges[0][1] is not shared
+
+
 class TestToProper:
     def test_entangled_conjunction_becomes_proper(self, shared_entangled):
         left, right, (x, y, z) = shared_entangled
@@ -372,6 +449,27 @@ class TestCanonicalize:
             d = random_proper_diagram(rng, chain)
             assert normalize(normalize(d)) is normalize(d)
 
+    def test_atoms_over_unread_variables_change_nothing(self, palindrome_program):
+        session = EvalSession(palindrome_program)
+        d = osdd_and(session.query("query(8, 2)"), session.query("evidence(8)"))
+        x = d.out
+        value = x.domain.values[0]
+        z1, z2 = Var("Z1", x.domain), Var("Z2", x.domain)
+        unread = formula(eq(z1, value), neq(z1, z2))
+        for n in internal_nodes(d):
+            assert normalize(n, unread) is normalize(n, TRUE)
+        children = [(g, c) for g, c in d.edges if not c.is_leaf]
+        assert children and all(x in free_vars(c) for _, c in children)
+        for g, child in children:
+            assert normalize(child, g.conjoin(unread)) is normalize(child, g)
+            # Atoms linked to the diagram through an outside variable stay:
+            # X = Z1, Z1 != w says X != w.
+            for w in x.domain.values:
+                linked = formula(eq(x, z1), neq(z1, w))
+                narrowed = normalize(child, formula(neq(x, w)))
+                assert normalize(child, linked) is narrowed
+                assert narrowed is not normalize(child, TRUE)
+
     def test_merges_renamed_subtrees(self):
         s = SwitchRef("mg")
         x = canonical_instance_var(s, GroundTerm(1), DOM)
@@ -452,3 +550,52 @@ def test_combinations_of_proper_diagrams_stay_proper():
         for op in ("and", "or"):
             result = to_proper(combine(a, b, op))
             assert validate(result) == []
+
+
+MAKE_NODE_COUNT = """
+import sys
+from osdd import diagram
+from osdd.diagram import osdd_and, to_proper
+from osdd.engine import EvalSession
+from osdd.program import parse_program
+from osdd.programs import PALINDROME
+
+original = diagram.make_node
+calls = 0
+
+
+def counting(*args):
+    global calls
+    calls += 1
+    return original(*args)
+
+
+for module in list(sys.modules.values()):
+    if getattr(module, "make_node", None) is original:
+        module.make_node = counting
+session = EvalSession(parse_program(PALINDROME))
+to_proper(osdd_and(session.query("query(14, 3)"), session.query("evidence(14)")))
+print(calls)
+"""
+
+
+def test_joint_build_cost_follows_nodes_not_paths():
+    # The joint has 81 nodes.  A build whose apply_constraint and
+    # normalize visit nodes once per path makes about 315,000 make_node
+    # calls; one that memoizes them per node about 9,500.  A fresh
+    # interpreter keeps the intern and normalize caches of other tests
+    # out of the count.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(osdd.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", MAKE_NODE_COUNT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+        check=True,
+    ).stdout
+    assert int(out) < 20_000

@@ -219,6 +219,25 @@ class TestSharedBuiltins:
                 estimate(prog, "p", mode=mode, budget=5)
 
 
+class TestDivisionByZero:
+    """Division by zero is an evaluation error of the program, in every
+    evaluator."""
+
+    @pytest.mark.parametrize("expr", ["1//0", "1 mod 0", "1/0"])
+    def test_is_an_eval_error_everywhere(self, expr):
+        prog = parse_program(
+            f"p :- X is {expr}, msw(c, 1, a).\n"
+            "values(c, [a, b]).\nset_sw(c, uniform).\n"
+        )
+        with pytest.raises(EvalError, match="division by zero"):
+            EvalSession(prog).query("p")
+        with pytest.raises(EvalError, match="division by zero"):
+            brute_force_probability(prog, "p")
+        for mode in ("lw", "independent"):
+            with pytest.raises(EvalError, match="division by zero"):
+                estimate(prog, "p", mode=mode, budget=5)
+
+
 class TestInferReport:
     def test_report_fields(self, small_birthday):
         d = EvalSession(small_birthday).query("same_birthday(3)")

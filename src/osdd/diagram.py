@@ -2,9 +2,10 @@
 
 An Osdd is a decision diagram whose internal nodes name switch instances
 and whose edges carry constraint formulas over the output variables bound
-so far.  Nodes are immutable and hash-consed: structurally equivalent
-subtrees (modulo renaming of their own output variables) are shared, so
-equality checks are identity checks.
+so far.  Nodes are immutable and hash-consed: nodes with the same
+instance, output variable and edges (equal labels to identical children)
+are one object, so equality checks are identity checks.  Nothing is
+renamed, since each switch instance has one :func:`canonical_instance_var`.
 
 The well-formedness conditions checked by :func:`validate`:
 
@@ -87,7 +88,7 @@ class Leaf(Osdd):
 
 
 class Node(Osdd):
-    __slots__ = ("si", "out", "edges", "_free", "_bound", "_sig_cache")
+    __slots__ = ("si", "out", "edges", "_free", "_bound")
 
     def __init__(self, si, out, edges):
         self.si = si
@@ -95,7 +96,6 @@ class Node(Osdd):
         self.edges = edges
         self._free = None
         self._bound = None
-        self._sig_cache = {}
 
     def __repr__(self):
         return f"Node({self.si}, {self.out}, {len(self.edges)} edges)"
@@ -135,44 +135,6 @@ def free_vars(d: Osdd) -> frozenset[Var]:
     return d._free
 
 
-def _signature(d: Osdd, env: dict) -> tuple:
-    """Structural fingerprint, invariant under renaming of the diagram's
-    own output variables.  ``env`` maps enclosing bound vars to de Bruijn
-    style indices; free variables serialize by identity."""
-    if d.is_leaf:
-        return ("leaf", d.value)
-    # Bound-variable indices below are assigned from the absolute depth,
-    # so the cache key must carry the depth along with the restriction of
-    # the environment to the variables this subtree actually reads.
-    relevant = (
-        len(env),
-        tuple(sorted((v.uid, env[v]) for v in free_vars(d) if v in env)),
-    )
-    cached = d._sig_cache.get(relevant)
-    if cached is not None:
-        return cached
-    inner = dict(env)
-    inner[d.out] = len(env)
-    parts = []
-    for label, child in d.edges:
-        atoms = []
-        for a in label.sorted_atoms():
-            ends = sorted((_term_sig(a.lhs, inner), _term_sig(a.rhs, inner)))
-            atoms.append((ends[0], ends[1], a.polarity))
-        parts.append((tuple(sorted(atoms)), _signature(child, inner)))
-    sig = ("node", d.si.sort_key(), d.out.domain.values_id, tuple(parts))
-    d._sig_cache[relevant] = sig
-    return sig
-
-
-def _term_sig(t, env):
-    if isinstance(t, Var):
-        if t in env:
-            return ("b", str(env[t]))
-        return ("f", str(t.uid))
-    return ("g", repr(t.symbol))
-
-
 _instance_var_table: dict = {}
 
 
@@ -193,18 +155,17 @@ def canonical_instance_var(ref: SwitchRef, instance: GroundTerm, domain) -> Var:
 
 def make_node(si: SwitchInstance, out: Var, edges) -> Osdd:
     """Intern a node; edges are sorted by label key and children must
-    already be interned."""
+    already be interned, so keying the unique table on ``id(child)`` is
+    sound: the table keeps every child alive."""
     edges = tuple(sorted(edges, key=lambda e: e[0].key()))
     if not edges:
         raise DiagramError(f"node {si} has no edges")
-    probe = Node(si, out, edges)
-    sig = _signature(probe, {})
+    key = (si, out, tuple((label.atoms, id(child)) for label, child in edges))
     with _intern_lock:
-        existing = _intern.get(sig)
-        if existing is not None:
-            return existing
-        _intern[sig] = probe
-    return probe
+        node = _intern.get(key)
+        if node is None:
+            node = _intern[key] = Node(si, out, edges)
+    return node
 
 
 def internal_nodes(d: Osdd):
@@ -239,55 +200,21 @@ def max_free_vars(d: Osdd) -> int:
     return max((len(free_vars(n)) for n in internal_nodes(d)), default=0)
 
 
-def substitute(d: Osdd, mapping: dict[Var, Var]) -> Osdd:
-    """Rename variables throughout the diagram (labels and output vars)."""
-    memo = {}
-
-    def sub_term(t):
-        return mapping.get(t, t) if isinstance(t, Var) else t
-
-    def sub_formula(f):
-        if not any(v in mapping for v in f.variables()):
-            return f
-        return ConstraintFormula(
-            AtomicConstraint(sub_term(a.lhs), sub_term(a.rhs), a.polarity)
-            for a in f.atoms
-        )
-
-    def walk(n):
-        if n.is_leaf:
-            return n
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        out = make_node(
-            n.si,
-            mapping.get(n.out, n.out),
-            [(sub_formula(label), walk(child)) for label, child in n.edges],
-        )
-        memo[id(n)] = out
-        return out
-
-    return walk(d)
-
-
 # ---------------------------------------------------------------------------
 # Conjunction / disjunction
 
 
-def combine(a: Osdd, b: Osdd, op: str, _memo=None) -> Osdd:
+def combine(a: Osdd, b: Osdd, op: str) -> Osdd:
     """Boolean combination of two diagrams (op is "and" or "or").
 
-    Smaller roots lift; equal roots rename the second operand's output
-    variable to the first's and conjoin edge labels pairwise, dropping
-    unsatisfiable combinations eagerly.  The result may be improper; run
-    it through :func:`to_proper` (or at least :func:`normalize`).
+    Smaller roots lift; equal roots must share their output variable,
+    and their edge labels are conjoined pairwise, dropping unsatisfiable
+    combinations eagerly.  The result may be improper; run it through
+    :func:`to_proper` (or at least :func:`normalize`).
     """
     if op not in ("and", "or"):
         raise DiagramError(f"unknown combination operator {op!r}")
-    if _memo is None:
-        _memo = {}
-    return _combine(a, b, op, _memo)
+    return _combine(a, b, op, {})
 
 
 def _combine(a, b, op, memo):
@@ -313,12 +240,10 @@ def _combine(a, b, op, memo):
         )
     else:
         if b.out != a.out:
-            if a.out in bound_vars(b) or a.out in free_vars(b):
-                raise DiagramError(
-                    f"cannot align roots {a.si}: variable {a.out} already "
-                    "occurs in the second operand"
-                )
-            b = substitute(b, {b.out: a.out})
+            raise DiagramError(
+                f"cannot combine roots at {a.si}: output variables "
+                f"{a.out} and {b.out} differ"
+            )
         edges = []
         for ga, ca in a.edges:
             for gb, cb in b.edges:
@@ -555,7 +480,10 @@ def _insert_constraint(d: Osdd, route, beta: AtomicConstraint) -> Osdd:
     return rebuild(d, 0)
 
 
-def to_proper(d: Osdd, max_rounds: int = 10_000) -> Osdd:
+MAX_PROPER_ROUNDS = 10_000
+
+
+def to_proper(d: Osdd) -> Osdd:
     """Rewrite an improper diagram into a proper, canonical one.
 
     Repeatedly finds an implicit atom entailed by some edge label over
@@ -565,7 +493,7 @@ def to_proper(d: Osdd, max_rounds: int = 10_000) -> Osdd:
     grounding of the diagram is preserved at every step.
     """
     d = normalize(d)
-    for _ in range(max_rounds):
+    for _ in range(MAX_PROPER_ROUNDS):
         found = _find_implicit(d)
         if found is None:
             return d
@@ -729,11 +657,14 @@ class Violation:
         return f"{self.condition} at {self.node}: {self.detail}"
 
 
-def validate(d: Osdd, completeness_budget: int = 2_000_000) -> list[Violation]:
+COMPLETENESS_BUDGET = 2_000_000
+
+
+def validate(d: Osdd) -> list[Violation]:
     """Check the five well-formedness conditions; empty list means proper.
 
     Exhaustive completeness checking enumerates path assignments and
-    raises SolverLimitError past ``completeness_budget``.
+    raises SolverLimitError past ``COMPLETENESS_BUDGET``.
     """
     reports = []
     flagged = set()
@@ -810,7 +741,7 @@ def validate(d: Osdd, completeness_budget: int = 2_000_000) -> list[Violation]:
                             "absent from the path",
                         )
 
-        _check_completeness(n, path, outs2, name, report, completeness_budget)
+        _check_completeness(n, path, outs2, name, report)
 
         for i, (g, child) in enumerate(n.edges):
             walk(child, path.conjoin(g), outs2, route + [i])
@@ -819,7 +750,7 @@ def validate(d: Osdd, completeness_budget: int = 2_000_000) -> list[Violation]:
     return reports
 
 
-def _check_completeness(n, path, outs, name, report, budget):
+def _check_completeness(n, path, outs, name, report):
     domains = [v.domain.values for v in outs]
     total = 1
     for dom in domains:
@@ -830,7 +761,7 @@ def _check_completeness(n, path, outs, name, report, budget):
             total *= v.domain.size
         domains = domains + [v.domain.values for v in free_in_path]
         outs = outs + free_in_path
-    if total > budget:
+    if total > COMPLETENESS_BUDGET:
         raise SolverLimitError(
             f"completeness check at {name} needs {total} assignments"
         )

@@ -21,6 +21,7 @@ from .diagram import (
     SwitchRef,
     ZERO,
     ONE,
+    canonical_instance_var,
     make_node,
 )
 from .errors import ParseError
@@ -104,9 +105,10 @@ class _Reader:
         self.next(expect=")")
         si = SwitchInstance(switch, instance)
         domain = self.switch_space(switch)
-        if name in self.vars:
-            raise ParseError(f"variable {name} bound twice")
-        out = self.vars[name] = Var(name, domain)
+        out = canonical_instance_var(switch, instance, domain)
+        if name in self.vars or out in self.vars.values():
+            raise ParseError(f"{si} binds {name}, but it is already bound above")
+        self.vars[name] = out
         self.next(expect="[")
         edges = [self.parse_edge()]
         while self.peek()[1] == ";":
@@ -114,10 +116,7 @@ class _Reader:
             edges.append(self.parse_edge())
         self.next(expect="]")
         del self.vars[name]
-        # re-register: label vars deeper in OTHER branches must not see it,
-        # but this node's subtree already consumed it above.
-        node = make_node(si, out, edges)
-        return node
+        return make_node(si, out, edges)
 
     def parse_edge(self):
         label = self.parse_formula()
@@ -187,9 +186,12 @@ class _Reader:
 def parse_osdd(text: str, switch_space) -> Osdd:
     """Parse the text format.
 
-    ``switch_space`` maps a SwitchRef to the TypeDomain of its outcomes;
-    fresh Vars are created per binding node, so parsing twice yields
-    canonically identical (interned) diagrams.
+    ``switch_space`` maps a SwitchRef to the TypeDomain of its outcomes.
+    A variable name in the text only links a node to the labels below
+    it: each node's output is bound to the instance's
+    :func:`canonical_instance_var`, so texts that differ only in variable
+    names parse to the same interned diagram, and so does the text of a
+    diagram the engine built.
     """
     reader = _Reader(_tokenize(text), switch_space)
     d = reader.parse_osdd()

@@ -1,13 +1,16 @@
 """Likelihood-weighted and independent sampling with streaming estimators.
 
 The LW sampler walks an evidence diagram top down.  At a node whose
-0-children exclude part of the output domain it draws uniformly from the
-surviving values and multiplies the sample weight by the declared
-probability of the drawn value; elsewhere it draws from the declared
-distribution with the weight untouched.  An empty surviving set rejects
-the sample.  Conditional estimates extend each consistent evidence
-sample by evaluating the query concretely, with already-drawn instances
-fixed and fresh ones sampled from their declared distributions.
+0-children exclude part of the output domain it draws from the declared
+distribution restricted to the surviving values S and multiplies the
+sample weight by P(S), the declared probability of the whole surviving
+set; elsewhere it draws from the declared distribution with the weight
+untouched.  An empty surviving set rejects the sample.  Conditional
+estimates extend each consistent evidence sample by evaluating the query
+concretely, with already-drawn instances fixed and fresh ones sampled
+from their declared distributions.  Program evaluations go through an
+:class:`OutcomeTree`, which replays the outcome of a world it has met
+instead of evaluating the program again, with the same draws.
 
 Randomness comes from a counter-based Philox generator so seeded runs
 are reproducible and independent chains can use spawned streams.
@@ -29,6 +32,10 @@ from .prolog import read_term
 RNG_KIND = "philox"
 
 CSV_HEADER = "samples,consistent,estimate,variance,mode,seed"
+
+# Most nodes one sampling run keeps in its OutcomeTree (a full tree is a
+# few MB: about 450 bytes a node on the 365-value birthday switch).
+OUTCOME_TREE_NODES = 10_000
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -57,6 +64,41 @@ class WeightedSample:
         return self.status == CONSISTENT
 
 
+def _select_edge(node, env: dict, dists: DistMap, rng, value=None):
+    """Bind ``node.out`` in ``env``; return (value, weight factor, child).
+
+    The values no 0-edge admits form the surviving set S.  With nothing
+    excluded the value is drawn from the declared distribution p and the
+    factor is 1.  Otherwise it is drawn from p restricted to S (by
+    ``rng.integers`` where p is constant on S) and the factor is P(S), the
+    sum of p over S.  A given ``value`` is replayed instead of drawn.
+    child is None when S is empty or no edge admits the value.
+    """
+    spec = dists.spec(node.si.switch)
+    excluded = set()
+    for label, child in node.edges:
+        if child.is_leaf and child.value == 0:
+            excluded.update(_admitted_values(label, node.out, env))
+    factor = 1.0
+    if excluded:
+        surviving = [v for v in spec.domain.values if v not in excluded]
+        if not surviving:
+            return value, factor, None
+        probs = [dists.prob(node.si.switch, v) for v in surviving]
+        factor = float(sum(probs))
+        if value is None and len(set(probs)) == 1:
+            value = surviving[int(rng.integers(len(surviving)))]
+        elif value is None:
+            value = draw(rng, surviving, [p / factor for p in probs])
+    elif value is None:
+        value = draw(rng, spec.domain.values, spec.dist.weights)
+    env[node.out] = value
+    for label, child in node.edges:
+        if value in _admitted_values(label, node.out, env):
+            return value, factor, child
+    return value, factor, None
+
+
 def lw_sample(evidence: Osdd, dists: DistMap, rng) -> WeightedSample:
     """One likelihood-weighted traversal of the evidence diagram."""
     if free_vars(evidence):
@@ -66,30 +108,12 @@ def lw_sample(evidence: Osdd, dists: DistMap, rng) -> WeightedSample:
     weight = 1.0
     node = evidence
     while not node.is_leaf:
-        spec = dists.spec(node.si.switch)
-        domain = spec.domain.values
-        excluded = set()
-        for label, child in node.edges:
-            if child.is_leaf and child.value == 0:
-                excluded.update(_admitted_values(label, node.out, env))
-        if len(excluded) == 0:
-            value = draw(rng, domain, spec.dist.weights)
-        else:
-            surviving = [v for v in domain if v not in excluded]
-            if not surviving:
-                return WeightedSample(assignment, weight, REJECTED)
-            value = surviving[int(rng.integers(len(surviving)))]
-            weight *= float(dists.prob(node.si.switch, value))
-        env[node.out] = value
-        assignment[(node.si.switch, node.si.instance)] = value
-        chosen = None
-        for label, child in node.edges:
-            if value in _admitted_values(label, node.out, env):
-                chosen = child
-                break
-        if chosen is None:
+        value, factor, child = _select_edge(node, env, dists, rng)
+        if child is None:
             return WeightedSample(assignment, weight, REJECTED)
-        node = chosen
+        weight *= factor
+        assignment[(node.si.switch, node.si.instance)] = value
+        node = child
     if node.value == 0:
         return WeightedSample(assignment, weight, REJECTED)
     return WeightedSample(assignment, weight, CONSISTENT)
@@ -196,6 +220,62 @@ class SamplingRun:
         return "\n".join(lines) + "\n"
 
 
+class _Draw:
+    """An OutcomeTree node: the instance drawn next and a child per value.
+    A leaf is the 1-tuple ``(outcome,)``."""
+
+    __slots__ = ("key", "spec", "children")
+
+    def __init__(self, key, spec):
+        self.key = key
+        self.spec = spec
+        self.children = {}
+
+
+class OutcomeTree:
+    """Outcomes of a deterministic evaluation on lazily sampled worlds.
+
+    The evaluation depends only on the values it draws, so the tree
+    records, below each preset assignment, the instance the evaluation
+    draws next with one child per value drawn, and at a leaf the
+    outcome.  Walking a known path makes the draws evaluating would
+    make, in the same order from the same generator; an unknown value
+    falls back to evaluating on the values drawn so far, and its path is
+    added while the tree is below ``OUTCOME_TREE_NODES``.  Seeded runs
+    are therefore unchanged.
+    """
+
+    def __init__(self, program: Program, evaluate):
+        self.program = program
+        self.evaluate = evaluate
+        self.roots: dict = {}
+        self.size = 0
+
+    def outcome(self, rng, preset=None):
+        drawn = dict(preset or {})
+        slot, at = self.roots, tuple(drawn.items())
+        node = slot.get(at)
+        while type(node) is _Draw:
+            spec = node.spec
+            value = draw(rng, spec.domain.values, spec.dist.weights)
+            drawn[node.key] = value
+            slot, at = node.children, value
+            node = slot.get(at)
+        if node is not None:
+            return node[0]
+        known = len(drawn)
+        world = SamplingWorld(rng, drawn)
+        result = self.evaluate(world)
+        fresh = list(world.assignment)[known:]
+        if self.size + len(fresh) < OUTCOME_TREE_NODES:
+            self.size += len(fresh) + 1
+            for key in fresh:
+                node = slot[at] = _Draw(key, self.program.switch_spec(key[0]))
+                slot, at = node.children, world.assignment[key]
+            slot[at] = (result,)
+        return result
+
+
 def _fmt(value) -> str:
     return "" if value is None else repr(value)
 
@@ -238,6 +318,22 @@ def estimate(
         session = session or EvalSession(program)
         target = session.query(evidence if evidence is not None else query)
 
+        def evaluate(world):
+            return WorldEvaluator(program, world).holds(query)
+
+    else:
+
+        def evaluate(world):
+            ev = WorldEvaluator(program, world)
+            if evidence is None:
+                ok = ev.holds(query)
+                return ok, ok
+            if not ev.holds(evidence):
+                return False, False
+            return True, ev.holds(query)
+
+    outcomes = OutcomeTree(program, evaluate)
+
     for i in range(budget):
         if mode == "lw":
             sample = lw_sample(target, dists, rng)
@@ -247,25 +343,20 @@ def estimate(
                 state.update(u, 1.0, consistent)
             else:
                 if consistent:
-                    world = SamplingWorld(rng, dict(sample.assignment))
-                    q_true = WorldEvaluator(program, world).holds(query)
+                    q_true = outcomes.outcome(rng, sample.assignment)
                     state.update(
                         sample.weight if q_true else 0.0, sample.weight, True
                     )
                 else:
                     state.update(0.0, 0.0, False)
         else:
-            ev = WorldEvaluator(program, SamplingWorld(rng))
+            consistent, q_true = outcomes.outcome(rng)
             if evidence is None:
-                consistent = ev.holds(query)
                 state.update(1.0 if consistent else 0.0, 1.0, consistent)
+            elif consistent:
+                state.update(1.0 if q_true else 0.0, 1.0, True)
             else:
-                consistent = ev.holds(evidence)
-                if consistent:
-                    q_true = ev.holds(query)
-                    state.update(1.0 if q_true else 0.0, 1.0, True)
-                else:
-                    state.update(0.0, 0.0, False)
+                state.update(0.0, 0.0, False)
         if not consistent:
             run.rejected += 1
         done = i + 1
@@ -280,26 +371,15 @@ def estimate(
 
 def recompute_weight(sample: WeightedSample, evidence: Osdd, dists: DistMap):
     """Re-derive a consistent sample's weight from its assignment alone:
-    the product of declared probabilities over nodes whose surviving
-    value set was restricted."""
+    the product of P(S) over nodes whose surviving value set S was
+    restricted."""
     env = {}
     weight = 1.0
     node = evidence
     while not node.is_leaf:
         value = sample.assignment[(node.si.switch, node.si.instance)]
-        excluded = set()
-        for label, child in node.edges:
-            if child.is_leaf and child.value == 0:
-                excluded.update(_admitted_values(label, node.out, env))
-        if excluded:
-            weight *= float(dists.prob(node.si.switch, value))
-        env[node.out] = value
-        nxt = None
-        for label, child in node.edges:
-            if value in _admitted_values(label, node.out, env):
-                nxt = child
-                break
-        if nxt is None:
+        _, factor, node = _select_edge(node, env, dists, None, value)
+        if node is None:
             raise EvalError("assignment does not traverse the diagram")
-        node = nxt
+        weight *= factor
     return weight

@@ -35,6 +35,7 @@ from osdd.diagram import (
     to_proper,
     validate,
 )
+from osdd.diagram_io import parse_osdd
 from osdd.engine import EvalSession
 from osdd.errors import DiagramError
 from osdd.terms import GroundTerm, Var, domain_of_symbols
@@ -194,6 +195,15 @@ class TestCombine:
                 )
 
 
+    def test_equal_roots_with_different_output_variables_rejected(self):
+        p, q = Var("P", DOM), Var("Q", DOM)
+        a = make_node(si("dv", 1), p, [(TRUE, ONE)])
+        b = make_node(si("dv", 1), q, [(TRUE, ONE)])
+        for op in ("and", "or"):
+            with pytest.raises(DiagramError, match=r"\bP\b.*\bQ\b"):
+                combine(a, b, op)
+
+
 class TestApplyConstraint:
     def test_leaves_unchanged(self):
         x = canonical_instance_var(SwitchRef("v"), GroundTerm(1), DOM)
@@ -330,6 +340,72 @@ def test_apply_constraint_shared_node_under_different_bindings():
     below = dict(rewritten.edges)
     assert below[formula(neq(x, A))] is shared
     assert below[formula(eq(x, A))].edges[0][1] is not shared
+
+
+def signature_by_renaming(d, env, cache):
+    """Reference: the structural fingerprint interning used to key on,
+    invariant under renaming of the diagram's own output variables.
+    ``env`` maps enclosing bound variables to de Bruijn style indices;
+    free variables serialize by identity."""
+    if d.is_leaf:
+        return ("leaf", d.value)
+    relevant = (
+        id(d),
+        len(env),
+        tuple(sorted((v.uid, env[v]) for v in free_vars(d) if v in env)),
+    )
+    if relevant in cache:
+        return cache[relevant]
+
+    def term(t):
+        if isinstance(t, Var):
+            return ("b", str(inner[t])) if t in inner else ("f", str(t.uid))
+        return ("g", repr(t.symbol))
+
+    inner = dict(env)
+    inner[d.out] = len(env)
+    parts = []
+    for label, child in d.edges:
+        atoms = []
+        for a in label.sorted_atoms():
+            ends = sorted((term(a.lhs), term(a.rhs)))
+            atoms.append((ends[0], ends[1], a.polarity))
+        child_sig = signature_by_renaming(child, inner, cache)
+        parts.append((tuple(sorted(atoms)), child_sig))
+    sig = ("node", d.si.sort_key(), d.out.domain.values_id, tuple(parts))
+    cache[relevant] = sig
+    return sig
+
+
+def test_interning_by_child_identity_matches_renaming_signature(
+    palindrome_program, birthday_program, toy_birthday_program
+):
+    # Over every internal node the suites build from programs and random
+    # combinations, two nodes share a renaming-invariant signature exactly
+    # when they are one object.
+    palindrome = EvalSession(palindrome_program)
+    diagrams = [
+        palindrome.query("query(8, 2)"),
+        palindrome.query("evidence(8)"),
+        to_proper(
+            osdd_and(palindrome.query("query(8, 2)"), palindrome.query("evidence(8)"))
+        ),
+        EvalSession(birthday_program).query("same_birthday(3)"),
+        EvalSession(toy_birthday_program).query("same_birthday(4)"),
+    ]
+    rng = random.Random(41)
+    chain = instance_chain("ri", DOM, 3)
+    for _ in range(20):
+        a = random_proper_diagram(rng, chain)
+        b = random_proper_diagram(rng, chain)
+        diagrams += [a, b, to_proper(combine(a, b, "and"))]
+    cache = {}
+    by_signature = {}
+    nodes = {id(n): n for d in diagrams for n in internal_nodes(d)}
+    for n in nodes.values():
+        sig = signature_by_renaming(n, {}, cache)
+        assert by_signature.setdefault(sig, n) is n
+    assert len(nodes) > 100
 
 
 class TestToProper:
@@ -470,18 +546,14 @@ class TestCanonicalize:
                 assert normalize(child, linked) is narrowed
                 assert narrowed is not normalize(child, TRUE)
 
-    def test_merges_renamed_subtrees(self):
-        s = SwitchRef("mg")
-        x = canonical_instance_var(s, GroundTerm(1), DOM)
-        y1 = Var("Y1", DOM)
-        y2 = Var("Y2", DOM)
-        sub1 = make_node(
-            si("mg", 2), y1, [(formula(eq(x, y1)), ONE), (formula(neq(x, y1)), ZERO)]
-        )
-        sub2 = make_node(
-            si("mg", 2), y2, [(formula(eq(x, y2)), ONE), (formula(neq(x, y2)), ZERO)]
-        )
-        assert sub1 is sub2
+    def test_texts_differing_in_variable_names_parse_to_one_node(self):
+        text = "(mg, 1, {x})[ true : (mg, 2, {y})[ {x} = {y} : 1 ; {x} != {y} : 0 ] ]"
+        first = parse_osdd(text.format(x="X", y="Y"), lambda ref: DOM)
+        second = parse_osdd(text.format(x="A", y="Q7"), lambda ref: DOM)
+        assert first is second
+        x = canonical_instance_var(SwitchRef("mg"), GroundTerm(1), DOM)
+        y = canonical_instance_var(SwitchRef("mg"), GroundTerm(2), DOM)
+        assert (first.out, first.edges[0][1].out) == (x, y)
 
     def test_interning_shares_across_branches(self):
         s = SwitchRef("sh")
@@ -504,7 +576,8 @@ class TestCanonicalize:
         reordered = domain_of_symbols("letters-reordered", ["c", "b", "a"])
 
         def unconstrained(dom):
-            return make_node(si("dk", 1), Var("Y", dom), [(TRUE, ONE)])
+            out = canonical_instance_var(SwitchRef("dk"), GroundTerm(1), dom)
+            return make_node(si("dk", 1), out, [(TRUE, ONE)])
 
         assert unconstrained(same) is unconstrained(DOM)
         assert unconstrained(reordered) is not unconstrained(DOM)

@@ -41,6 +41,11 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_osdd(text, _space(toy_birthday_program))
 
+    def test_instance_bound_twice_on_a_path(self, toy_birthday_program):
+        text = "(b, 1, X)[ true : (b, 1, Y)[ X = Y : 1 ; X != Y : 0 ] ]"
+        with pytest.raises(ParseError, match="already bound"):
+            parse_osdd(text, _space(toy_birthday_program))
+
     def test_trailing_garbage(self, toy_birthday_program):
         with pytest.raises(ParseError):
             parse_osdd("1 1", _space(toy_birthday_program))

@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osdd import sampling
+from osdd.concrete import SamplingWorld, WorldEvaluator
+from osdd.diagram import SwitchRef, osdd_and, to_proper
 from osdd.engine import EvalSession
 from osdd.errors import EvalError
 from osdd.exact import DistMap, exact_probability
 from osdd.program import parse_program
 from osdd.programs import birthday_source
+from osdd.terms import GroundTerm
 from osdd.sampling import (
     EstimatorState,
+    OutcomeTree,
     estimate,
     independent_sample,
     lw_sample,
@@ -52,7 +57,10 @@ class TestLwSample:
 
     def test_six_person_weight_structure(self, birthday_program):
         # Only the last node of the all-distinct prefix restricts its
-        # domain; samples that collide early carry weight 1.
+        # domain; samples that collide early carry weight 1.  At that
+        # node the sixth day must equal one of the five distinct earlier
+        # days, so five values survive and the weight is
+        # P(S) = 5 * 1/365.
         d = EvalSession(birthday_program).query("same_birthday(6)")
         dm = DistMap(birthday_program)
         rng = make_rng(4)
@@ -61,8 +69,8 @@ class TestLwSample:
             sample = lw_sample(d, dm, rng)
             assert sample.consistent
             weights[sample.weight] += 1
-        assert set(weights) == {1.0, 1.0 / 365.0}
-        assert weights[1.0 / 365.0] > weights[1.0]
+        assert set(weights) == {1.0, 5.0 / 365.0}
+        assert weights[5.0 / 365.0] > weights[1.0]
 
     def test_weight_recomputable_from_assignment(self, palindrome_program):
         d = EvalSession(palindrome_program).query("evidence(8)")
@@ -224,9 +232,95 @@ class TestEstimate:
         assert lw.rejected == 0
         assert lw.state.variance < ind.state.variance
 
+    @pytest.mark.parametrize("query", ["q", "r"])
+    @pytest.mark.parametrize(
+        "set_sw", ["set_sw(s, uniform).", "set_sw(s, [0.5, 0.3, 0.2])."]
+    )
+    def test_conditional_with_several_surviving_values(self, set_sw, query):
+        # Y survives with two values when X = a and with one otherwise, so
+        # a weight of p(Y) instead of P(S) under-weights the X = a
+        # samples: the uniform program then estimates P(q | e) at about
+        # 1/3, not 1/2.  r reads Y, so it also needs Y drawn from p
+        # restricted to the survivors, not uniformly among them.
+        p = parse_program(
+            "e :- msw(s, 1, X), msw(s, 2, Y), Y \\= X, Y \\= a.\n"
+            "q :- msw(s, 1, X), X = a.\n"
+            "r :- msw(s, 2, Y), Y = b.\n"
+            f"values(s, [a, b, c]).\n{set_sw}\n"
+        )
+        session = EvalSession(p)
+        evidence = session.query("e")
+        joint = to_proper(osdd_and(session.query(query), evidence))
+        dm = DistMap(p, exact=True)
+        exact = exact_probability(joint, dm) / exact_probability(evidence, dm)
+        run = estimate(
+            p, query, "e", mode="lw", budget=10_000, seed=1, stride=10_000
+        )
+        assert abs(run.state.estimate - float(exact)) <= 4 * run.state.std_error
+
     def test_bad_budget_rejected(self, palindrome_program):
         with pytest.raises(EvalError):
             estimate(palindrome_program, "evidence(4)", budget=0)
+
+
+# Which instance is drawn after instance 1 depends on its value.
+BRANCHING = (
+    "e :- msw(s, 1, X), msw(s, 2, Y), Y \\= X.\n"
+    "t :- msw(s, 1, X), (X = a -> msw(s, 3, W), W = b ; msw(s, 4, V), V \\= c).\n"
+    "values(s, [a, b, c]).\nset_sw(s, [0.5, 0.3, 0.2]).\n"
+)
+
+
+class TestOutcomeTree:
+    @pytest.mark.parametrize("limit", [sampling.OUTCOME_TREE_NODES, 5])
+    def test_replays_evaluation_draw_for_draw(self, monkeypatch, limit):
+        monkeypatch.setattr(sampling, "OUTCOME_TREE_NODES", limit)
+        program = parse_program(BRANCHING)
+        evaluations = 0
+
+        def evaluate(world):
+            nonlocal evaluations
+            evaluations += 1
+            ev = WorldEvaluator(program, world)
+            return ev.holds("e") and ev.holds("t")
+
+        tree = OutcomeTree(program, evaluate)
+        rng_tree, rng_plain = make_rng(5), make_rng(5)
+        first = (SwitchRef("s"), GroundTerm(1))
+        for i in range(600):
+            preset = {first: GroundTerm("abc"[i % 3])} if i % 2 else {}
+            got = tree.outcome(rng_tree, preset)
+            want = evaluate(SamplingWorld(rng_plain, dict(preset)))
+            assert got == want
+            assert rng_tree.random() == rng_plain.random()  # same draws made
+        assert tree.size <= limit
+        if limit > 5:
+            # 600 plain evaluations plus one per tree miss, over a few
+            # dozen worlds.
+            assert evaluations < 700
+
+    @pytest.mark.parametrize("mode", ["lw", "independent"])
+    @pytest.mark.parametrize(
+        "query, evidence",
+        [("t", "e"), ("e", "t"), ("t", None), ("query(8, 2)", "evidence(8)")],
+    )
+    def test_estimate_csv_unchanged_without_tree(
+        self, monkeypatch, palindrome_program, mode, query, evidence
+    ):
+        program = (
+            palindrome_program if query.startswith("query")
+            else parse_program(BRANCHING)
+        )
+
+        def csv():
+            return estimate(
+                program, query, evidence, mode=mode, budget=1500, seed=9,
+                stride=100,
+            ).csv()
+
+        with_tree = csv()
+        monkeypatch.setattr(sampling, "OUTCOME_TREE_NODES", 0)
+        assert csv() == with_tree
 
 
 class TestEstimatorState:

@@ -48,7 +48,7 @@ from .diagram import (
     validate,
 )
 from .diagram_io import format_osdd, parse_osdd, to_dot
-from .engine import EvalConfig, EvalSession, evaluate, transform
+from .engine import EvalSession, evaluate, transform
 from .errors import (
     DiagramError,
     EvalError,
@@ -79,7 +79,6 @@ from .sampling import (
     EstimatorState,
     WeightedSample,
     estimate,
-    independent_sample,
     lw_sample,
     make_rng,
 )

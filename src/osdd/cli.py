@@ -265,33 +265,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--program", help="path to a program file")
-        p.add_argument("--query", help="ground query atom, e.g. same_birthday(3)")
-        p.add_argument("--evidence", help="ground evidence atom")
-        p.add_argument("--mode", help="subcommand-specific mode")
-        p.add_argument("--samples", type=int, default=10_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--stride", type=int, default=1000)
-        p.add_argument("--out", help="output file")
-        p.add_argument("--dot", help="DOT output file")
-        p.add_argument("--osdd", help="read a compiled diagram file instead "
-                       "of evaluating the query")
-        p.add_argument("--rational", action="store_true",
-                       help="exact rational arithmetic")
-        p.add_argument("--timeout-s", type=float, default=60.0)
+    options = {
+        "--program": dict(help="path to a program file"),
+        "--query": dict(help="ground query atom, e.g. same_birthday(3)"),
+        "--evidence": dict(help="ground evidence atom"),
+        "--samples": dict(type=int, default=10_000),
+        "--seed": dict(type=int, default=0),
+        "--stride": dict(type=int, default=1000),
+        "--out": dict(help="output file"),
+        "--dot": dict(help="DOT output file"),
+        "--osdd": dict(help="read a compiled diagram file instead of "
+                       "evaluating the query"),
+        "--rational": dict(action="store_true",
+                           help="exact rational arithmetic"),
+    }
 
-    p_compile = sub.add_parser("compile", help="build a diagram for a query")
-    common(p_compile)
-    p_compile.set_defaults(fn=cmd_compile)
+    def subcommand(name, fn, summary, *flags, mode=None):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        if mode:
+            p.add_argument("--mode", help=mode)
+        p.set_defaults(fn=fn)
 
-    p_infer = sub.add_parser("infer", help="exact inference")
-    common(p_infer)
-    p_infer.set_defaults(fn=cmd_infer)
-
-    p_sample = sub.add_parser("sample", help="sampling-based inference")
-    common(p_sample)
-    p_sample.set_defaults(fn=cmd_sample)
+    subcommand("compile", cmd_compile, "build a diagram for a query",
+               "--program", "--query", "--out", "--dot")
+    subcommand("infer", cmd_infer, "exact inference",
+               "--program", "--query", "--evidence", "--osdd", "--rational",
+               mode="exact (default), exact-measurable or oracle")
+    subcommand("sample", cmd_sample, "sampling-based inference",
+               "--program", "--query", "--evidence", "--samples", "--seed",
+               "--stride", "--out", mode="lw (default) or independent")
 
     p_rep = sub.add_parser("reproduce", help="run an experiment sweep")
     p_rep.add_argument("experiment", nargs="?", default="",

@@ -35,6 +35,9 @@ from .prolog import (
     unify,
 )
 
+# Deepest goal nesting one evaluation may reach before it gives up.
+MAX_DEPTH = 10_000
+
 
 class FixedWorld:
     """Outcomes fixed up front; unknown instances are an error."""
@@ -135,11 +138,10 @@ class WorldEvaluator:
     where one call pattern legitimately has world-dependent answers.
     """
 
-    def __init__(self, program: Program, world, max_depth: int = 10_000):
+    def __init__(self, program: Program, world):
         self.program = program
         self.world = world
         self.trail = Trail()
-        self.max_depth = max_depth
         self.memo_enabled = not isinstance(world, EnumeratingWorld)
         self._memo: dict = {}
         self._seen: dict = {}
@@ -170,8 +172,8 @@ class WorldEvaluator:
         return n
 
     def _solve(self, goals, depth):
-        if depth > self.max_depth:
-            raise EvalError(f"recursion depth limit {self.max_depth} exceeded")
+        if depth > MAX_DEPTH:
+            raise EvalError(f"recursion depth limit {MAX_DEPTH} exceeded")
         if not goals:
             yield
             return

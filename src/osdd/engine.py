@@ -53,7 +53,6 @@ from .program import (
     switch_ref,
 )
 from .prolog import (
-    Atom,
     LVar,
     Num,
     PVar,
@@ -70,9 +69,8 @@ from .prolog import (
 from .terms import GroundTerm, Var
 
 
-@dataclass
-class EvalConfig:
-    max_depth: int = 4000
+# Deepest clause nesting a query may reach before evaluation gives up.
+MAX_DEPTH = 4000
 
 
 class OsddVal:
@@ -191,20 +189,6 @@ def _snapshot(term, openmap):
     return term
 
 
-def _template_key(t):
-    if isinstance(t, SvarMark):
-        return ("sv", t.var.uid)
-    if isinstance(t, OpenMark):
-        return ("open", t.index)
-    if isinstance(t, Atom):
-        return ("a", t.name)
-    if isinstance(t, Num):
-        return ("n", t.value)
-    if isinstance(t, Struct):
-        return ("s", t.name, tuple(_template_key(a) for a in t.args))
-    raise EvalError(f"cannot table term {t!r}")
-
-
 def _instantiate_template(t, opens, session):
     if isinstance(t, SvarMark):
         lv = LVar()
@@ -226,7 +210,7 @@ def _instantiate_template(t, opens, session):
 @dataclass
 class TableEntry:
     status: str  # "computing" | "done"
-    answers: dict = field(default_factory=dict)  # answer key -> (template, Osdd)
+    answers: dict = field(default_factory=dict)  # answer templates -> Osdd
 
 
 class AnswerTable:
@@ -251,13 +235,10 @@ class AnswerTable:
         return entry
 
     def add_answer(self, entry, templates, delta):
-        akey = tuple(_template_key(t) for t in templates)
-        got = entry.answers.get(akey)
-        if got is None:
-            entry.answers[akey] = (templates, delta)
-        else:
-            merged = normalize(osdd_or(got[1], delta))
-            entry.answers[akey] = (got[0], merged)
+        got = entry.answers.get(templates)
+        if got is not None:
+            delta = normalize(osdd_or(got, delta))
+        entry.answers[templates] = delta
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +250,9 @@ class EvalSession:
     table, and trail.  Evaluate related queries (a query and its
     evidence) in a single session so their diagrams share variables."""
 
-    def __init__(self, program: Program, config: EvalConfig | None = None):
+    def __init__(self, program: Program):
         self.program = program
         self.transformed = transform(program)
-        self.config = config or EvalConfig()
         self.table = AnswerTable()
         self.trail = Trail()
 
@@ -284,7 +264,7 @@ class EvalSession:
 
     # -- public API ----------------------------------------------------------
 
-    def query(self, atom, proper: bool = True) -> Osdd:
+    def query(self, atom) -> Osdd:
         """Evaluate a ground atom to its diagram (disjunction of answers)."""
         if isinstance(atom, str):
             atom = read_term(atom)
@@ -311,13 +291,13 @@ class EvalSession:
         self.trail.undo_to(mark)
         if not has_live_leaf(result):
             return ZERO  # no worlds at all: canonical empty diagram
-        return to_proper(result) if proper else result
+        return to_proper(result)
 
     # -- resolution ----------------------------------------------------------
 
     def _solve(self, goals, depth):
-        if depth > self.config.max_depth:
-            raise EvalError(f"recursion depth limit {self.config.max_depth} exceeded")
+        if depth > MAX_DEPTH:
+            raise EvalError(f"recursion depth limit {MAX_DEPTH} exceeded")
         if not goals:
             yield
             return
@@ -355,11 +335,7 @@ class EvalSession:
             raise EvalError(f"call {name}/{arity - 2} has no threaded diagram")
         openmap = {}
         templates = tuple(_snapshot(a, openmap) for a in base_args)
-        key = (
-            (name, arity),
-            tuple(_template_key(t) for t in templates),
-            id(o_in.value),
-        )
+        key = ((name, arity), templates, id(o_in.value))
         entry = self.table.get(key)
         if entry is None:
             entry = self._compute(key, (name, arity), templates, o_in.value, depth)
@@ -367,7 +343,7 @@ class EvalSession:
             raise EvalError(
                 f"recursive tabled call {name}/{arity - 2} is not supported"
             )
-        for templates_ans, delta in list(entry.answers.values()):
+        for templates_ans, delta in list(entry.answers.items()):
             mark = self.trail.mark()
             opens = {}
             inst = [

@@ -151,7 +151,6 @@ class Clause:
 class Distribution:
     """Outcome weights for one switch, aligned with its domain values."""
 
-    kind: str  # "uniform" or "categorical"
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
@@ -175,9 +174,6 @@ class SwitchSpec:
     domain: TypeDomain
     dist: Distribution
 
-    def prob(self, value: GroundTerm) -> Fraction:
-        return self.dist.weights[self.domain.values.index(value)]
-
 
 @dataclass
 class Program:
@@ -186,9 +182,6 @@ class Program:
     clauses: dict = field(default_factory=dict)  # (name, arity) -> [Clause]
     switch_decls: list = field(default_factory=list)  # (pattern, values, dist)
     _spec_cache: dict = field(default_factory=dict)
-
-    def predicates(self):
-        return tuple(self.clauses)
 
     def clauses_for(self, name, arity):
         return self.clauses.get((name, arity), [])
@@ -264,13 +257,13 @@ def _build_spec(ref, values_decl, dist_decl) -> SwitchSpec:
             raise ParseError(f"empty uniform range in {dist_decl}")
         domain = TypeDomain(str(ref), tuple(GroundTerm(i) for i in range(lo, hi + 1)))
         n = hi - lo + 1
-        return SwitchSpec(domain, Distribution("uniform", (Fraction(1, n),) * n))
+        return SwitchSpec(domain, Distribution((Fraction(1, n),) * n))
     if values_decl is None:
         raise EvalError(f"switch {ref} has no values declaration")
     domain = TypeDomain(str(ref), tuple(_declared_value(v) for v in values_decl))
     if dist_decl == Atom("uniform"):
         n = domain.size
-        return SwitchSpec(domain, Distribution("uniform", (Fraction(1, n),) * n))
+        return SwitchSpec(domain, Distribution((Fraction(1, n),) * n))
     weights = []
     t = dist_decl
     items = _list_items(t)
@@ -284,10 +277,7 @@ def _build_spec(ref, values_decl, dist_decl) -> SwitchSpec:
         raise ParseError(
             f"switch {ref}: {len(weights)} weights for {domain.size} values"
         )
-    dist = Distribution(
-        "uniform" if len(set(weights)) == 1 else "categorical", tuple(weights)
-    )
-    return SwitchSpec(domain, dist)
+    return SwitchSpec(domain, Distribution(tuple(weights)))
 
 
 def _list_items(t):

@@ -1,19 +1,23 @@
-"""Likelihood-weighted and independent sampling with streaming estimators.
+"""Likelihood-weighted and independent sampling with a streaming estimator.
 
-The LW sampler walks an evidence diagram top down.  At a node whose
-0-children exclude part of the output domain it draws from the declared
-distribution restricted to the surviving values S and multiplies the
-sample weight by P(S), the declared probability of the whole surviving
-set; elsewhere it draws from the declared distribution with the weight
-untouched.  An empty surviving set rejects the sample.  Conditional
-estimates extend each consistent evidence sample by evaluating the query
-concretely, with already-drawn instances fixed and fresh ones sampled
-from their declared distributions.  Program evaluations go through an
-:class:`OutcomeTree`, which replays the outcome of a world it has met
-instead of evaluating the program again, with the same draws.
+The LW sampler walks an evidence diagram top down.  At each node it draws
+a value for the node's output variable and follows the edge whose label
+holds.  Where 0-children exclude part of the output domain it draws from
+the declared distribution restricted to the surviving values S and
+multiplies the sample weight by P(S), the declared probability of the
+whole surviving set; elsewhere it draws from the declared distribution
+with the weight untouched.  An empty surviving set rejects the sample.
+Conditional estimates extend each consistent evidence sample by
+evaluating the query concretely, with already-drawn instances fixed and
+fresh ones sampled from their declared distributions.  The independent
+sampler evaluates evidence and query on one lazily sampled world with
+weight 1, rejecting the worlds where the evidence fails.  Both feed each
+attempt to :class:`EstimatorState` the same way.  Program evaluations go
+through an :class:`OutcomeTree`, which replays the outcome of a world it
+has met instead of evaluating the program again, with the same draws.
 
 Randomness comes from a counter-based Philox generator so seeded runs
-are reproducible and independent chains can use spawned streams.
+are reproducible.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .errors import EvalError
 from .exact import DistMap, _admitted_values
 from .program import Program
 from .prolog import read_term
+
 RNG_KIND = "philox"
 
 CSV_HEADER = "samples,consistent,estimate,variance,mode,seed"
@@ -42,37 +47,23 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def spawn_rngs(seed: int, n: int) -> list:
-    """Independent streams for parallel chains, reproducible from one seed."""
-    return [
-        np.random.Generator(np.random.Philox(key=(seed, i))) for i in range(n)
-    ]
-
-
-CONSISTENT = "consistent"
-REJECTED = "rejected"
-
-
 @dataclass
 class WeightedSample:
     assignment: dict  # (SwitchRef, GroundTerm instance) -> GroundTerm value
     weight: float
-    status: str
-
-    @property
-    def consistent(self) -> bool:
-        return self.status == CONSISTENT
+    consistent: bool
 
 
-def _select_edge(node, env: dict, dists: DistMap, rng, value=None):
-    """Bind ``node.out`` in ``env``; return (value, weight factor, child).
+def _select_edge(node, env: dict, dists: DistMap, rng):
+    """Draw a value for ``node.out`` into ``env``; return (value, weight
+    factor, child).
 
     The values no 0-edge admits form the surviving set S.  With nothing
     excluded the value is drawn from the declared distribution p and the
     factor is 1.  Otherwise it is drawn from p restricted to S (by
     ``rng.integers`` where p is constant on S) and the factor is P(S), the
-    sum of p over S.  A given ``value`` is replayed instead of drawn.
-    child is None when S is empty or no edge admits the value.
+    sum of p over S.  The child is the first edge whose label holds; it is
+    None when S is empty or no label holds.
     """
     spec = dists.spec(node.si.switch)
     excluded = set()
@@ -83,18 +74,18 @@ def _select_edge(node, env: dict, dists: DistMap, rng, value=None):
     if excluded:
         surviving = [v for v in spec.domain.values if v not in excluded]
         if not surviving:
-            return value, factor, None
+            return None, factor, None
         probs = [dists.prob(node.si.switch, v) for v in surviving]
         factor = float(sum(probs))
-        if value is None and len(set(probs)) == 1:
+        if len(set(probs)) == 1:
             value = surviving[int(rng.integers(len(surviving)))]
-        elif value is None:
+        else:
             value = draw(rng, surviving, [p / factor for p in probs])
-    elif value is None:
+    else:
         value = draw(rng, spec.domain.values, spec.dist.weights)
     env[node.out] = value
     for label, child in node.edges:
-        if value in _admitted_values(label, node.out, env):
+        if label.holds(env):
             return value, factor, child
     return value, factor, None
 
@@ -110,23 +101,11 @@ def lw_sample(evidence: Osdd, dists: DistMap, rng) -> WeightedSample:
     while not node.is_leaf:
         value, factor, child = _select_edge(node, env, dists, rng)
         if child is None:
-            return WeightedSample(assignment, weight, REJECTED)
+            return WeightedSample(assignment, weight, False)
         weight *= factor
         assignment[(node.si.switch, node.si.instance)] = value
         node = child
-    if node.value == 0:
-        return WeightedSample(assignment, weight, REJECTED)
-    return WeightedSample(assignment, weight, CONSISTENT)
-
-
-def independent_sample(program: Program, goal, rng) -> WeightedSample:
-    """Evaluate the goal on a lazily sampled world; weight is always 1."""
-    world = SamplingWorld(rng)
-    ev = WorldEvaluator(program, world)
-    ok = ev.holds(goal)
-    return WeightedSample(
-        world.assignment, 1.0, CONSISTENT if ok else REJECTED
-    )
+    return WeightedSample(assignment, weight, node.value != 0)
 
 
 @dataclass
@@ -182,37 +161,15 @@ class EstimatorState:
         v = self.variance
         return math.sqrt(v) if v is not None else None
 
-    def merge(self, other: "EstimatorState") -> "EstimatorState":
-        """Combine two states from independent chains (pairwise moments)."""
-        if self.n_total == 0:
-            return other
-        if other.n_total == 0:
-            return self
-        n1, n2 = self.n_total, other.n_total
-        n = n1 + n2
-        du = other.mean_u - self.mean_u
-        dw = other.mean_w - self.mean_w
-        out = EstimatorState(
-            n_total=n,
-            n_consistent=self.n_consistent + other.n_consistent,
-            numerator=self.numerator + other.numerator,
-            denominator=self.denominator + other.denominator,
-            mean_u=self.mean_u + du * n2 / n,
-            mean_w=self.mean_w + dw * n2 / n,
-            m2_u=self.m2_u + other.m2_u + du * du * n1 * n2 / n,
-            m2_w=self.m2_w + other.m2_w + dw * dw * n1 * n2 / n,
-            c_uw=self.c_uw + other.c_uw + du * dw * n1 * n2 / n,
-        )
-        return out
-
 
 @dataclass
 class SamplingRun:
     state: EstimatorState
     rows: list = field(default_factory=list)
-    mode: str = ""
-    seed: int = 0
-    rejected: int = 0
+
+    @property
+    def rejected(self) -> int:
+        return self.state.n_total - self.state.n_consistent
 
     def csv(self) -> str:
         lines = [CSV_HEADER]
@@ -308,10 +265,9 @@ def estimate(
 
     rng = make_rng(seed)
     state = EstimatorState()
-    run = SamplingRun(state, mode=mode, seed=seed)
+    run = SamplingRun(state)
     dists = DistMap(program)
 
-    target = None
     if mode == "lw":
         from .engine import EvalSession
 
@@ -334,52 +290,25 @@ def estimate(
 
     outcomes = OutcomeTree(program, evaluate)
 
-    for i in range(budget):
+    for done in range(1, budget + 1):
         if mode == "lw":
             sample = lw_sample(target, dists, rng)
-            consistent = sample.consistent
-            if evidence is None:
-                u = sample.weight if consistent else 0.0
-                state.update(u, 1.0, consistent)
-            else:
-                if consistent:
-                    q_true = outcomes.outcome(rng, sample.assignment)
-                    state.update(
-                        sample.weight if q_true else 0.0, sample.weight, True
-                    )
-                else:
-                    state.update(0.0, 0.0, False)
+            consistent, weight = sample.consistent, sample.weight
+            # The query draws come after the evidence draws, and only for a
+            # consistent conditional sample.
+            q_true = consistent and (
+                evidence is None or outcomes.outcome(rng, sample.assignment)
+            )
         else:
             consistent, q_true = outcomes.outcome(rng)
-            if evidence is None:
-                state.update(1.0 if consistent else 0.0, 1.0, consistent)
-            elif consistent:
-                state.update(1.0 if q_true else 0.0, 1.0, True)
-            else:
-                state.update(0.0, 0.0, False)
-        if not consistent:
-            run.rejected += 1
-        done = i + 1
+            weight = 1.0
+        # Unconditional runs average over every attempt; conditional runs
+        # divide by the weight of the consistent ones.
+        total = 1.0 if evidence is None else (weight if consistent else 0.0)
+        state.update(weight if q_true else 0.0, total, consistent)
         if done % stride == 0 or done == budget:
-            if not run.rows or not run.rows[-1].startswith(f"{done},"):
-                run.rows.append(
-                    f"{done},{state.n_consistent},{_fmt(state.estimate)},"
-                    f"{_fmt(state.variance)},{mode},{seed}"
-                )
+            run.rows.append(
+                f"{done},{state.n_consistent},{_fmt(state.estimate)},"
+                f"{_fmt(state.variance)},{mode},{seed}"
+            )
     return run
-
-
-def recompute_weight(sample: WeightedSample, evidence: Osdd, dists: DistMap):
-    """Re-derive a consistent sample's weight from its assignment alone:
-    the product of P(S) over nodes whose surviving value set S was
-    restricted."""
-    env = {}
-    weight = 1.0
-    node = evidence
-    while not node.is_leaf:
-        value = sample.assignment[(node.si.switch, node.si.instance)]
-        _, factor, node = _select_edge(node, env, dists, None, value)
-        if node is None:
-            raise EvalError("assignment does not traverse the diagram")
-        weight *= factor
-    return weight

@@ -1,4 +1,5 @@
-"""Diagrams stay byte-identical: ``format_osdd`` digests against goldens.
+"""Diagrams and seeded sampling CSVs stay byte-identical: digests of
+``format_osdd`` output and of ``estimate`` CSVs against goldens.
 
 The goldens were recorded before satisfiability switched to lazy residual
 domains and interning switched to domain identity keys, and the palindrome
@@ -83,6 +84,72 @@ JOINT_GOLDEN = {
 }
 
 
+SAMPLING_SCRIPT = """
+import hashlib
+from osdd.program import parse_program
+from osdd.programs import PALINDROME, birthday_source
+from osdd.sampling import estimate
+
+SKEWED = (
+    "e :- msw(s, 1, X), msw(s, 2, Y), Y \\\\= X, Y \\\\= a.\\n"
+    "q :- msw(s, 1, X), X = a.\\n"
+    "r :- msw(s, 2, Y), Y = b.\\n"
+    "values(s, [a, b, c]).\\nset_sw(s, [0.5, 0.3, 0.2]).\\n"
+)
+cases = [
+    ("palindrome", PALINDROME, "query(8, 2)", "evidence(8)"),
+    ("palindrome", PALINDROME, "evidence(8)", None),
+    ("birthday365", birthday_source(365), "same_birthday(3)", None),
+    ("birthday5", birthday_source(5), "same_birthday(3)", None),
+    ("skewed", SKEWED, "q", "e"),
+    ("skewed", SKEWED, "r", "e"),
+    ("skewed", SKEWED, "e", None),
+]
+for name, source, query, evidence in cases:
+    program = parse_program(source)
+    for mode in ("lw", "independent"):
+        run = estimate(
+            program, query, evidence, mode=mode, budget=2000, seed=11, stride=250
+        )
+        text = run.csv() + f"rejected {run.rejected}\\n"
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        print(f"{name} {query} | {evidence} {mode}", digest)
+"""
+
+# Recorded before the sampler's update branches were merged into one and
+# its edge choice moved to ``label.holds``; seeded runs must not change.
+SAMPLING_GOLDEN = {
+    "palindrome query(8, 2) | evidence(8) lw":
+        "433f2f0396cc7602efe4b0f5cf0d47fe54b7537547bd36f52c2b20fd92d7a986",
+    "palindrome query(8, 2) | evidence(8) independent":
+        "6521be2edbc898d2f34f084f877edb78288dc3e848bcf82819cccfd2df4de9ff",
+    "palindrome evidence(8) | None lw":
+        "875eac7c9c1668ba4dfd8a620fafb633c71ab94328c0c098c9961dff54541cd8",
+    "palindrome evidence(8) | None independent":
+        "85dd3d9f63a5dfcdf7fcca30c459828e12bb61c57fac7969b573f0f71913a053",
+    "birthday365 same_birthday(3) | None lw":
+        "d7f4a31bbe4e9cd6577226937a002932b78806781c5e1b11de92456531af48c4",
+    "birthday365 same_birthday(3) | None independent":
+        "7dc6200c6519bffa0e398fe844e128bcd29e7b76f8c8d9b6384956e028edf5b1",
+    "birthday5 same_birthday(3) | None lw":
+        "e9fb7eb8c9968f0910a75ecba1dade4db1991d95ce91ce0b8ac29181956704ff",
+    "birthday5 same_birthday(3) | None independent":
+        "ef6fa33318f7a28ca2d801d19fd53f365eef87d3170d55802955af8116ad5529",
+    "skewed q | e lw":
+        "c95aa2322480eacca950ad80fde02a5a86051cd98d4bcbc0972c57a6f2aae776",
+    "skewed q | e independent":
+        "b0a309ab8bf7dcf4560ce6a586b6e9168cc6376e6d409af5f47bcd4b9716c3b5",
+    "skewed r | e lw":
+        "804e8bcf85c2f94cb7d13fe8316f4ac48de58365a3c7dd6b73cb1b902f8721b2",
+    "skewed r | e independent":
+        "2897aa20d69decb3389c753d3a58c950bc107dc39968ac37bd793e0dcd51286c",
+    "skewed e | None lw":
+        "caa8d41378e69a6f3b98dcfca48e095900a1676b330bc5b36005ce06b7c02390",
+    "skewed e | None independent":
+        "0980f82c376ccaca8ef339cc611bd55f6fb2a93a8dd308ce7cf03f9680a88ba2",
+}
+
+
 def _digests(script):
     src = os.path.dirname(os.path.dirname(os.path.abspath(osdd.__file__)))
     env = dict(os.environ)
@@ -106,3 +173,7 @@ def test_format_osdd_digests_match_goldens():
 
 def test_palindrome_joint_digests_match_goldens():
     assert _digests(JOINT_SCRIPT) == JOINT_GOLDEN
+
+
+def test_sampling_csv_digests_match_goldens():
+    assert _digests(SAMPLING_SCRIPT) == SAMPLING_GOLDEN

@@ -1,9 +1,11 @@
 """Command-line surface: compile, infer, sample, reproduce."""
 
+import argparse
 import json
+
 import pytest
 
-from osdd.cli import main
+from osdd.cli import build_parser, main
 from osdd.diagram_io import parse_osdd
 from osdd.engine import EvalSession
 from osdd.programs import BIRTHDAY, PALINDROME, birthday_source
@@ -326,3 +328,38 @@ class TestReproduce:
         )
         assert code == 1
         assert "query" in err
+
+
+class TestOptions:
+    def test_each_subcommand_accepts_only_the_flags_it_reads(self):
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {
+            name: {
+                flag for action in p._actions for flag in action.option_strings
+            } - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert flags == {
+            "compile": {"--program", "--query", "--out", "--dot"},
+            "infer": {
+                "--program", "--query", "--evidence", "--mode", "--osdd",
+                "--rational",
+            },
+            "sample": {
+                "--program", "--query", "--evidence", "--mode", "--samples",
+                "--seed", "--stride", "--out",
+            },
+            "reproduce": {"--out", "--repeats", "--timeout-s", "--joint"},
+        }
+
+    def test_flag_of_another_subcommand_is_rejected(self, program_files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "compile", "--program", str(program_files["toy"]),
+                "--query", "same_birthday(2)", "--seed", "3",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err

@@ -196,14 +196,15 @@ class TestEvaluate:
         with pytest.raises(EvalError):
             EvalSession(p).query("p")
 
-    def test_depth_limit(self):
-        from osdd.engine import EvalConfig
+    def test_depth_limit(self, monkeypatch):
+        from osdd import engine
 
+        monkeypatch.setattr(engine, "MAX_DEPTH", 5)
         p = parse_program(
             "count(0).\ncount(N) :- N > 0, N1 is N - 1, count(N1).\n"
         )
         with pytest.raises(EvalError):
-            EvalSession(p, EvalConfig(max_depth=5)).query("count(50)")
+            EvalSession(p).query("count(50)")
 
     def test_shared_output_variable_becomes_equality(self):
         # One program variable naming the outcome of two instances is the

@@ -90,13 +90,6 @@ def cmd_infer(args) -> int:
         raise UsageError(f"unknown inference mode {mode!r}")
     if mode == "oracle" and not args.query:
         raise UsageError("--mode oracle needs --query")
-    if mode == "exact-measurable":
-        report = measurability(diagram)
-        if not report.measurable:
-            raise UsageError(
-                f"diagram is not measurable (at {report.offending_node}); "
-                "rerun with --mode exact"
-            )
     # The oracle cross-checks the general exact recursion.
     exact_mode = "exact" if mode == "oracle" else mode
     start = time.perf_counter()
@@ -180,81 +173,77 @@ def _median_time(fn, repeats: int = 5):
 
 
 def cmd_reproduce(args) -> int:
-    if args.experiment == "birthday":
-        return _reproduce_birthday(args)
-    if args.experiment == "palindrome":
-        return _reproduce_palindrome(args)
-    raise UsageError(
-        f"unknown experiment {args.experiment!r}; choose birthday or palindrome"
-    )
+    sweeps = {"birthday": _birthday_sweep, "palindrome": _palindrome_sweep}
+    if args.experiment not in sweeps:
+        raise UsageError(
+            f"unknown experiment {args.experiment!r}; choose birthday or palindrome"
+        )
+    header, measure = sweeps[args.experiment](args)
+    rows = [header]
+    for n in range(6, 17, 2):
+        try:
+            cells, elapsed = measure(n)
+            status = "ok" if elapsed <= args.timeout_s else "over-timeout"
+            rows.append(f"{n},{cells},{status}")
+        except OsddError as exc:
+            rows.append(f"{n},,,,,error:{exc}")
+    table = "\n".join(rows) + "\n"
+    _write(args.out, table)
+    if not args.out:
+        sys.stdout.write(table)
+    return 0
 
 
-def _reproduce_birthday(args) -> int:
+def _birthday_sweep(args):
+    """CSV header, and a function from n to (row cells, elapsed seconds)."""
     program = parse_program(BIRTHDAY)
     dists = DistMap(program, exact=True)
-    rows = ["size,build_s,prob_s,probability,nodes,status"]
-    for n in range(6, 17, 2):
-        try:
-            # Hash-consing makes rebuilds artificially cheap, so the build
-            # is timed once; medians apply to the probability timings.
-            start = time.perf_counter()
-            diagram = EvalSession(program).query(f"same_birthday({n})")
-            build_s = time.perf_counter() - start
-            report = measurability(diagram)
-            prob_s, value = _median_time(
-                lambda d=diagram, r=report: exact_probability_measurable(
-                    d, dists, r
-                ),
-                repeats=args.repeats,
-            )
-            status = "ok" if build_s + prob_s <= args.timeout_s else "over-timeout"
-            rows.append(
-                f"{n},{build_s:.6f},{prob_s:.6f},{float(value)!r},"
-                f"{node_count(diagram)},{status}"
-            )
-        except OsddError as exc:
-            rows.append(f"{n},,,,,error:{exc}")
-    table = "\n".join(rows) + "\n"
-    _write(args.out, table)
-    if not args.out:
-        sys.stdout.write(table)
-    return 0
+
+    def measure(n):
+        # Hash-consing makes rebuilds artificially cheap, so the build
+        # is timed once; medians apply to the probability timings.
+        start = time.perf_counter()
+        diagram = EvalSession(program).query(f"same_birthday({n})")
+        build_s = time.perf_counter() - start
+        report = measurability(diagram)
+        prob_s, value = _median_time(
+            lambda: exact_probability_measurable(diagram, dists, report),
+            repeats=args.repeats,
+        )
+        cells = (
+            f"{build_s:.6f},{prob_s:.6f},{float(value)!r},{node_count(diagram)}"
+        )
+        return cells, build_s + prob_s
+
+    return "size,build_s,prob_s,probability,nodes,status", measure
 
 
-def _reproduce_palindrome(args) -> int:
+def _palindrome_sweep(args):
+    """CSV header, and a function from n to (row cells, elapsed seconds)."""
     program = parse_program(PALINDROME)
     dists = DistMap(program, exact=True)
-    rows = ["size,evidence_build_s,joint_build_s,prob_s,probability,status"]
-    for n in range(6, 17, 2):
-        try:
-            session = EvalSession(program)
+
+    def measure(n):
+        session = EvalSession(program)
+        start = time.perf_counter()
+        evidence_diagram = session.query(f"evidence({n})")
+        ev_s = time.perf_counter() - start
+        joint_s = None
+        if args.joint:
+            k = max(2, n // 4)
             start = time.perf_counter()
-            evidence_diagram = session.query(f"evidence({n})")
-            ev_s = time.perf_counter() - start
-            joint_s = None
-            if args.joint:
-                k = max(2, n // 4)
-                start = time.perf_counter()
-                q = session.query(f"query({n}, {k})")
-                to_proper(osdd_and(q, evidence_diagram))
-                joint_s = time.perf_counter() - start
-            prob_s, value = _median_time(
-                lambda d=evidence_diagram: exact_probability(d, dists),
-                repeats=args.repeats,
-            )
-            elapsed = ev_s + prob_s + (joint_s or 0.0)
-            status = "ok" if elapsed <= args.timeout_s else "over-timeout"
-            joint_text = f"{joint_s:.6f}" if joint_s is not None else ""
-            rows.append(
-                f"{n},{ev_s:.6f},{joint_text},{prob_s:.6f},{float(value)!r},{status}"
-            )
-        except OsddError as exc:
-            rows.append(f"{n},,,,,error:{exc}")
-    table = "\n".join(rows) + "\n"
-    _write(args.out, table)
-    if not args.out:
-        sys.stdout.write(table)
-    return 0
+            q = session.query(f"query({n}, {k})")
+            to_proper(osdd_and(q, evidence_diagram))
+            joint_s = time.perf_counter() - start
+        prob_s, value = _median_time(
+            lambda: exact_probability(evidence_diagram, dists),
+            repeats=args.repeats,
+        )
+        joint_text = f"{joint_s:.6f}" if joint_s is not None else ""
+        cells = f"{ev_s:.6f},{joint_text},{prob_s:.6f},{float(value)!r}"
+        return cells, ev_s + prob_s + (joint_s or 0.0)
+
+    return "size,evidence_build_s,joint_build_s,prob_s,probability,status", measure
 
 
 def build_parser() -> argparse.ArgumentParser:

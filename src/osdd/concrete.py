@@ -4,7 +4,8 @@ This resolution path never touches diagrams: ``msw(S, K, X)`` unifies X
 with the value a policy assigns to the instance.  Policies cover the
 three users: a fixed world (brute-force enumeration), sample-on-first-use
 (the samplers), and branch-over-all-values (reachable-instance
-discovery).
+discovery).  It shares the builtin semantics of :mod:`osdd.program` and
+the term snapshots of :mod:`osdd.prolog` with the symbolic engine.
 """
 
 from __future__ import annotations
@@ -21,17 +22,17 @@ from .program import (
     term_of,
 )
 from .prolog import (
-    Atom,
-    LVar,
     Num,
     Struct,
     Trail,
     deref,
+    freeze,
     functor_of,
     instantiate,
     is_ground,
     read_term,
     resolve,
+    thaw,
     unify,
 )
 
@@ -95,43 +96,12 @@ def draw(rng, values, weights):
     return values[-1]
 
 
-def _canon(term, openmap):
-    """Hashable snapshot of a runtime term; unbound variables become
-    numbered placeholders (shared within one snapshot)."""
-    term = deref(term)
-    if isinstance(term, LVar):
-        idx = openmap.setdefault(id(term), len(openmap))
-        return ("open", idx)
-    if isinstance(term, Struct):
-        return ("s", term.name, tuple(_canon(a, openmap) for a in term.args))
-    if isinstance(term, Atom):
-        return ("a", term.name)
-    if isinstance(term, Num):
-        return ("n", term.value)
-    raise EvalError(f"cannot snapshot term {term!r}")
-
-
-def _instantiate_canon(t, opens):
-    if isinstance(t, tuple):
-        if t[0] == "open":
-            got = opens.get(t[1])
-            if got is None:
-                got = opens[t[1]] = LVar()
-            return got
-        if t[0] == "s":
-            return Struct(t[1], tuple(_instantiate_canon(a, opens) for a in t[2]))
-        if t[0] == "a":
-            return Atom(t[1])
-        if t[0] == "n":
-            return Num(t[1])
-    raise EvalError(f"bad snapshot entry {t!r}")
-
-
 class WorldEvaluator:
     """Plain depth-first resolution over a program with ground outcomes.
 
     User-predicate calls are memoized per evaluator (all answers of a
-    call pattern computed once, then replayed), which keeps programs
+    call pattern computed once as :func:`~osdd.prolog.freeze` snapshots,
+    then replayed with :func:`~osdd.prolog.thaw`), which keeps programs
     whose clause alternatives re-derive a shared deterministic prefix,
     like per-element case splits over a list, linear instead of
     exponential.  Memoization is disabled for branching outcome policies,
@@ -233,7 +203,7 @@ class WorldEvaluator:
         args = goal.args if isinstance(goal, Struct) else ()
         if self.memo_enabled:
             openmap = {}
-            key = (name, arity) + tuple(_canon(a, openmap) for a in args)
+            key = (name, arity) + tuple(freeze(a, openmap) for a in args)
             entry = self._memo.get(key)
             if entry is None:
                 # Memoize only call patterns that recur: the first
@@ -247,7 +217,7 @@ class WorldEvaluator:
                     mark = self.trail.mark()
                     for _ in self._resolve_clauses(args, name, arity, (), depth):
                         amap = {}
-                        answers.setdefault(tuple(_canon(a, amap) for a in args))
+                        answers.setdefault(tuple(freeze(a, amap) for a in args))
                     self.trail.undo_to(mark)
                     entry = self._memo[key] = list(answers)
             if entry == "computing":
@@ -257,7 +227,7 @@ class WorldEvaluator:
                     mark = self.trail.mark()
                     opens = {}
                     ok = all(
-                        unify(a, _instantiate_canon(t, opens), self.trail)
+                        unify(a, thaw(t, opens, self.trail), self.trail)
                         for a, t in zip(args, answer)
                     )
                     if ok:

@@ -557,7 +557,7 @@ def make_mdd_node(si, out, edges) -> Mdd:
     return node
 
 
-def ground(d: Osdd, env: dict | None = None) -> Mdd:
+def ground(d: Osdd) -> Mdd:
     """Ground a diagram: one edge per domain value, routed to the unique
     child whose label the value satisfies under the accumulated
     substitution.  Mutual exclusion gives uniqueness, completeness gives
@@ -602,7 +602,7 @@ def ground(d: Osdd, env: dict | None = None) -> Mdd:
         memo[key] = node
         return node
 
-    return walk(d, env or {})
+    return walk(d, {})
 
 
 def mdd_combine(a: Mdd, b: Mdd, op: str) -> Mdd:

@@ -28,17 +28,17 @@ from .errors import ParseError
 from .terms import GroundTerm, Var
 
 
-def format_osdd(d: Osdd, indent: str = "  ") -> str:
+def format_osdd(d: Osdd) -> str:
     """Render a diagram in the round-trippable text format."""
 
     def walk(n, depth):
-        pad = indent * depth
+        pad = "  " * depth
         if n.is_leaf:
             return f"{pad}{n.value}"
         head = f"{pad}({n.si.switch}, {n.si.instance}, {n.out})["
         parts = []
         for g, child in n.edges:
-            parts.append(f"{indent * (depth + 1)}{g} :\n{walk(child, depth + 2)}")
+            parts.append(f"{pad}  {g} :\n{walk(child, depth + 2)}")
         return head + "\n" + " ;\n".join(parts) + f"\n{pad}]"
 
     return walk(d, 0) + "\n"
@@ -201,10 +201,10 @@ def parse_osdd(text: str, switch_space) -> Osdd:
     return d
 
 
-def to_dot(d: Osdd, name: str = "osdd") -> str:
+def to_dot(d: Osdd) -> str:
     """GraphViz rendering: internal nodes as boxes labeled msw(s,k,X),
     edges labeled with their constraint formulas."""
-    lines = [f"digraph {name} {{", '  node [shape=box, style=rounded];']
+    lines = ["digraph osdd {", '  node [shape=box, style=rounded];']
     ids = {}
     counter = [0]
 

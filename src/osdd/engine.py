@@ -3,10 +3,11 @@
 Each user predicate p/n is rewritten to p/(n+2); the two extra arguments
 thread a diagram through the body, facts pass it unchanged, and the
 ``msw`` and ``constraint`` builtins grow it.  Evaluation is depth-first
-with tabling: a call is keyed on its (renamed) argument pattern plus the
-identity of the incoming diagram, and answers that bind the original
-arguments identically have their output diagrams merged by disjunction,
-which is the observable behavior of answer combination over a lattice.
+with tabling: a call is keyed on the :func:`~osdd.prolog.freeze` snapshot
+of its arguments plus the identity of the incoming diagram, and answers
+whose argument snapshots are equal have their output diagrams merged by
+disjunction, which is the observable behavior of answer combination over
+a lattice.  Stored answers are replayed with :func:`~osdd.prolog.thaw`.
 
 Switch outputs are special logic variables that never take ordinary
 bindings.  A unification that would equate two of them, or one of them
@@ -27,7 +28,6 @@ from .diagram import (
     ONE,
     Osdd,
     SwitchInstance,
-    SwitchRef,
     ZERO,
     apply_constraint,
     bound_vars,
@@ -59,14 +59,16 @@ from .prolog import (
     Struct,
     Trail,
     deref,
+    freeze,
     functor_of,
     instantiate,
     is_ground,
     read_term,
     resolve,
+    thaw,
     unify,
 )
-from .terms import GroundTerm, Var
+from .terms import Var
 
 
 # Deepest clause nesting a query may reach before evaluation gives up.
@@ -91,12 +93,7 @@ class OsddVal:
 
 @dataclass
 class TransformedProgram:
-    source: Program
-    clauses: dict  # (name, arity+2) -> [Clause]
-    tabled: frozenset  # (name, arity+2) keys of user predicates
-
-    def clauses_for(self, key):
-        return self.clauses.get(key, [])
+    clauses: dict  # (name, arity+2) -> [Clause], one key per user predicate
 
 
 def _threaded_goal(goal, o_in, o_out):
@@ -156,61 +153,17 @@ def transform(program: Program) -> TransformedProgram:
                     goals.append(goal)
             new_head = Struct(name, tuple(head_args) + (o0, o_prev))
             out.setdefault(new_key, []).append(Clause(new_head, tuple(goals)))
-    return TransformedProgram(program, out, frozenset(out))
+    return TransformedProgram(out)
 
 
 # ---------------------------------------------------------------------------
 # Answer tables
 
 
-@dataclass(frozen=True)
-class SvarMark:
-    var: Var
-
-
-@dataclass(frozen=True)
-class OpenMark:
-    index: int
-
-
-def _snapshot(term, openmap):
-    """Copy a runtime term into an immutable template: switch variables
-    become SvarMark, unbound plain variables become numbered OpenMark."""
-    term = deref(term)
-    if isinstance(term, LVar):
-        if term.svar is not None:
-            return SvarMark(term.svar)
-        idx = openmap.setdefault(id(term), len(openmap))
-        return OpenMark(idx)
-    if isinstance(term, Struct):
-        return Struct(term.name, tuple(_snapshot(a, openmap) for a in term.args))
-    if isinstance(term, OsddVal):
-        raise EvalError("diagram values cannot appear in answer bindings")
-    return term
-
-
-def _instantiate_template(t, opens, session):
-    if isinstance(t, SvarMark):
-        lv = LVar()
-        lv.svar = t.var
-        session.trail.push_svar(lv)
-        return lv
-    if isinstance(t, OpenMark):
-        got = opens.get(t.index)
-        if got is None:
-            got = opens[t.index] = LVar()
-        return got
-    if isinstance(t, Struct):
-        return Struct(
-            t.name, tuple(_instantiate_template(a, opens, session) for a in t.args)
-        )
-    return t
-
-
 @dataclass
 class TableEntry:
     status: str  # "computing" | "done"
-    answers: dict = field(default_factory=dict)  # answer templates -> Osdd
+    answers: dict = field(default_factory=dict)  # answer snapshots -> Osdd
 
 
 class AnswerTable:
@@ -256,12 +209,6 @@ class EvalSession:
         self.table = AnswerTable()
         self.trail = Trail()
 
-    # -- switch instances ---------------------------------------------------
-
-    def instance_var(self, ref: SwitchRef, instance: GroundTerm) -> Var:
-        spec = self.program.switch_spec(ref)
-        return canonical_instance_var(ref, instance, spec.domain)
-
     # -- public API ----------------------------------------------------------
 
     def query(self, atom) -> Osdd:
@@ -275,7 +222,7 @@ class EvalSession:
         if f is None:
             raise EvalError(f"query {atom} is not callable")
         key = (f[0], f[1] + 2)
-        if key not in self.transformed.tabled:
+        if key not in self.transformed.clauses:
             raise EvalError(f"unknown predicate {f[0]}/{f[1]}")
         o_out = LVar()
         args = (goal.args if isinstance(goal, Struct) else ()) + (
@@ -319,7 +266,7 @@ class EvalSession:
                 yield from self._solve(rest, depth)
         elif name == "for" and arity == 3:
             yield from self._for(goal, rest, depth)
-        elif (name, arity) in self.transformed.tabled:
+        elif (name, arity) in self.transformed.clauses:
             yield from self._call_tabled(goal, rest, depth)
         else:
             raise EvalError(f"unknown goal {name}/{arity}")
@@ -334,7 +281,7 @@ class EvalSession:
         if not isinstance(o_in, OsddVal):
             raise EvalError(f"call {name}/{arity - 2} has no threaded diagram")
         openmap = {}
-        templates = tuple(_snapshot(a, openmap) for a in base_args)
+        templates = tuple(freeze(a, openmap) for a in base_args)
         key = ((name, arity), templates, id(o_in.value))
         entry = self.table.get(key)
         if entry is None:
@@ -346,9 +293,7 @@ class EvalSession:
         for templates_ans, delta in list(entry.answers.items()):
             mark = self.trail.mark()
             opens = {}
-            inst = [
-                _instantiate_template(t, opens, self) for t in templates_ans
-            ]
+            inst = [thaw(t, opens, self.trail) for t in templates_ans]
             emitted = []
             ok = True
             for live, stored in zip(base_args, inst):
@@ -366,13 +311,10 @@ class EvalSession:
 
     def _compute(self, key, pred_key, templates, o_in, depth):
         entry = self.table.create(key)
-        clauses = self.transformed.clauses_for(pred_key)
-        if not clauses:
-            raise EvalError(f"unknown predicate {pred_key[0]}/{pred_key[1] - 2}")
         opens = {}
-        fresh_args = [ _instantiate_template(t, opens, self) for t in templates ]
+        fresh_args = [thaw(t, opens, self.trail) for t in templates]
         mark0 = self.trail.mark()
-        for clause in clauses:
+        for clause in self.transformed.clauses[pred_key]:
             env = {}
             head = instantiate(clause.head, env)
             body = tuple(instantiate(g, env) for g in clause.body)
@@ -400,9 +342,7 @@ class EvalSession:
                             f"clause for {pred_key[0]} did not produce a diagram"
                         )
                     answer_map = {}
-                    answer = tuple(
-                        _snapshot(a, answer_map) for a in fresh_args
-                    )
+                    answer = tuple(freeze(a, answer_map) for a in fresh_args)
                     self.table.add_answer(entry, answer, delta_t.value)
             self.trail.undo_to(mark)
         self.trail.undo_to(mark0)
@@ -450,7 +390,7 @@ class EvalSession:
                 f"{resolve(k_t)}"
             )
         spec = self.program.switch_spec(ref)
-        y = self.instance_var(ref, inst)
+        y = canonical_instance_var(ref, inst, spec.domain)
         mark = self.trail.mark()
         gamma_atoms = []
         x = deref(x_t)
@@ -578,7 +518,6 @@ class EvalSession:
             self.trail.undo_to(mark)
 
 
-def evaluate(program: Program, query, session: EvalSession | None = None) -> Osdd:
+def evaluate(program: Program, query) -> Osdd:
     """Build the proper, canonical diagram for a ground query atom."""
-    session = session or EvalSession(program)
-    return session.query(query)
+    return EvalSession(program).query(query)

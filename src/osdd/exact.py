@@ -5,9 +5,10 @@ variable admitted by each edge label under the accumulated grounding of
 free variables, weighting by the switch distribution; memoization keys
 on the restriction of that grounding to the variables a subtree actually
 reads.  When every path constraint is measurable and all switches are
-uniform, the per-edge solution count is a constant, so one
-representative value per edge suffices and the cost drops to
-O(domain size * node count).
+uniform, the per-edge solution count is a constant, so each edge adds
+its measure times the uniform probability times its child's probability:
+the sum reads no grounding, and its cost follows the diagram, not the
+domain.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .constraints import TRUE, ConstraintFormula
 from .diagram import Mdd, Osdd, free_vars, internal_nodes, max_free_vars, node_count
 from .errors import DiagramError
 from .program import Program, SwitchSpec
-from .terms import GroundTerm, Var, term_key
+from .terms import GroundTerm, Var
 
 
 class DistMap:
@@ -45,11 +46,6 @@ class DistMap:
             table = dict(zip(spec.domain.values, weights))
             self._prob_cache[ref] = table
         return table[value]
-
-    def uniform_prob(self, ref):
-        spec = self.spec(ref)
-        p = Fraction(1, spec.domain.size)
-        return p if self.exact else float(p)
 
     def all_uniform(self, d: Osdd) -> bool:
         return all(
@@ -132,26 +128,18 @@ def exact_probability(d: Osdd, dists: DistMap):
     return pi(d, {})
 
 
-@dataclass(frozen=True)
-class EdgeMeasure:
-    node: str
-    label: str
-    constrained: bool
-    count: int
-
-
 @dataclass
 class MeasurabilityReport:
     measurable: bool
-    edge_measures: list = field(default_factory=list)
+    edge_measures: list = field(default_factory=list)  # (constrained, count)
     offending_node: str | None = None
     measure_map: dict = field(default_factory=dict)  # (node id, edge idx) -> m
 
     def constrained_measures(self):
-        return tuple(m.count for m in self.edge_measures if m.constrained)
+        return tuple(m for constrained, m in self.edge_measures if constrained)
 
     def all_measures(self):
-        return tuple(m.count for m in self.edge_measures)
+        return tuple(m for _, m in self.edge_measures)
 
 
 def measurability(d: Osdd) -> MeasurabilityReport:
@@ -162,17 +150,16 @@ def measurability(d: Osdd) -> MeasurabilityReport:
     def walk(n, path, route):
         if n.is_leaf:
             return True
-        name = f"{n.si}@{'.'.join(map(str, route)) or 'root'}"
         for i, (label, child) in enumerate(n.edges):
             conj = path.conjoin(label)
             m = cf.measure(conj, n.out)
             if m is None:
                 report.measurable = False
-                report.offending_node = name
+                report.offending_node = (
+                    f"{n.si}@{'.'.join(map(str, route)) or 'root'}"
+                )
                 return False
-            report.edge_measures.append(
-                EdgeMeasure(name, str(label), not label.is_empty(), m)
-            )
+            report.edge_measures.append((not label.is_empty(), m))
             report.measure_map[(id(n), i)] = m
             if not walk(child, conj, route + [i]):
                 return False
@@ -190,8 +177,10 @@ def exact_probability_measurable(
 ):
     """Fast path: measurable diagram, all switches uniform.
 
-    Per edge, one representative admitted value stands in for the whole
-    solution set, weighted by the edge measure over the domain size.
+    Each edge adds its measure (the constant number of values it admits)
+    times the uniform probability times its child's probability, so no
+    grounding is kept.  It is a plain recursion without a memo:
+    ``measurability``, which it needs, already walks every path.
     """
     if report is None:
         report = measurability(d)
@@ -209,29 +198,19 @@ def exact_probability_measurable(
     zero = Fraction(0) if dists.exact else 0.0
     measures = report.measure_map
 
-    def pi(n, env):
+    def pi(n):
         if n.is_leaf:
             return one if n.value else zero
-        p_uniform = dists.uniform_prob(n.si.switch)
+        # Uniform: every value of the switch has this probability.
+        p = dists.prob(n.si.switch, n.out.domain.values[0])
         total = zero
-        for i, (label, child) in enumerate(n.edges):
+        for i, (_, child) in enumerate(n.edges):
             m = measures[(id(n), i)]
-            if m == 0:
-                continue
-            if child.is_leaf:
-                if child.value:
-                    total += m * p_uniform
-                continue
-            admitted = _admitted_values(label, n.out, env)
-            if not admitted:
-                raise DiagramError("measurability lost during traversal")
-            rep = min(admitted, key=term_key)
-            env[n.out] = rep
-            total += m * p_uniform * pi(child, env)
-            del env[n.out]
+            if m:
+                total += m * p * pi(child)
         return total
 
-    return pi(d, {})
+    return pi(d)
 
 
 def mdd_probability(d: Mdd, dists: DistMap):

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import EvalError, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +382,53 @@ def unify(a, b, trail, emit=None):
                 return False
         return True
     return False
+
+
+def freeze(term, openmap):
+    """Hashable snapshot of a runtime term, the key and stored form of
+    engine answer tables and concrete memo entries.
+
+    Snapshots are tagged tuples: ``("open", i)`` for the i-th distinct
+    unbound plain variable (numbered through ``openmap``, so repeated
+    occurrences share an index), ``("svar", Var)`` for a switch output,
+    ``("s", name, args)``, ``("a", name)`` and ``("n", value)``.
+    """
+    term = deref(term)
+    if isinstance(term, LVar):
+        if term.svar is not None:
+            return ("svar", term.svar)
+        return ("open", openmap.setdefault(id(term), len(openmap)))
+    if isinstance(term, Struct):
+        return ("s", term.name, tuple(freeze(a, openmap) for a in term.args))
+    if isinstance(term, Atom):
+        return ("a", term.name)
+    if isinstance(term, Num):
+        return ("n", term.value)
+    raise EvalError(f"cannot snapshot term {term!r}")
+
+
+def thaw(t, opens, trail):
+    """Rebuild a runtime term from a :func:`freeze` snapshot.
+
+    ``opens`` maps open indices to the fresh variables made so far; a
+    switch output comes back as a fresh variable marked on ``trail``.
+    """
+    tag = t[0]
+    if tag == "s":
+        return Struct(t[1], tuple(thaw(a, opens, trail) for a in t[2]))
+    if tag == "a":
+        return Atom(t[1])
+    if tag == "n":
+        return Num(t[1])
+    if tag == "open":
+        got = opens.get(t[1])
+        if got is None:
+            got = opens[t[1]] = LVar()
+        return got
+    lv = LVar()
+    lv.svar = t[1]
+    trail.push_svar(lv)
+    return lv
 
 
 def instantiate(term, env):

@@ -17,8 +17,19 @@ from osdd.diagram import (
 from osdd.engine import EvalSession, evaluate, transform
 from osdd.errors import EvalError, ParseError
 from osdd.program import parse_program
-from osdd.prolog import Num, PVar
-from osdd.terms import GroundTerm
+from osdd.prolog import (
+    LVar,
+    Num,
+    PVar,
+    Struct,
+    Trail,
+    freeze,
+    instantiate,
+    read_term,
+    resolve,
+    thaw,
+)
+from osdd.terms import GroundTerm, domain_of_symbols
 
 
 class TestParse:
@@ -232,3 +243,44 @@ class TestEvaluate:
         inner = next(c for _, c in d.edges)
         labels = sorted(str(g) for g, _ in inner.edges)
         assert any("=" in s for s in labels)
+
+
+class TestSnapshot:
+    """``freeze``/``thaw``: the one snapshot format of engine answer
+    tables and concrete memo entries."""
+
+    def test_repeated_variable_comes_back_as_one_variable(self):
+        term = instantiate(read_term("f(X, a, 3, g(X))"), {})
+        frozen = freeze(term, {})
+        assert frozen == (
+            "s", "f", (("open", 0), ("a", "a"), ("n", 3), ("s", "g", (("open", 0),)))
+        )
+        back = thaw(frozen, {}, Trail())
+        x = back.args[0]
+        assert isinstance(x, LVar) and x is not term.args[0]
+        assert back.args[3].args[0] is x
+        assert resolve(back).args[1:3] == term.args[1:3]
+
+    def test_switch_output_comes_back_marked_until_undone(self):
+        y = canonical_instance_var(
+            SwitchRef("s"), GroundTerm(1), domain_of_symbols("ab", ["a", "b"])
+        )
+        x = LVar()
+        x.svar = y
+        frozen = freeze(Struct("f", (x,)), {})
+        assert frozen == ("s", "f", (("svar", y),))
+        trail = Trail()
+        mark = trail.mark()
+        (back,) = thaw(frozen, {}, trail).args
+        assert back is not x and back.svar == y
+        trail.undo_to(mark)
+        assert back.svar is None
+
+    def test_equal_terms_freeze_to_equal_hashable_snapshots(self):
+        one = freeze(instantiate(read_term("p([1, X, c], X)"), {}), {})
+        other = freeze(instantiate(read_term("p([1, Y, c], Y)"), {}), {})
+        assert one == other and hash(one) == hash(other)
+        assert {one: "answer"}[other] == "answer"
+        bound = LVar()
+        bound.ref = Num(3)  # a bound variable freezes as its value
+        assert freeze(bound, {}) == freeze(Num(3), {})

@@ -1,6 +1,7 @@
 """Exact probability computation: general path, measurability, fast path."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,24 @@ class TestFastPath:
             exact_probability_measurable(d, DistMap(p, exact=True))
         # the general path handles it
         assert exact_probability(d, DistMap(p, exact=True)) == Fraction(10, 16)
+
+    def test_agrees_with_general_on_random_uniform_programs(self):
+        measurable = 0
+        for seed in range(200):
+            _, source = random_program(seed)
+            source = re.sub(
+                r"set_sw\((\w+), \[[^]]*\]\)", r"set_sw(\1, uniform)", source
+            )
+            prog = parse_program(source)
+            d = EvalSession(prog).query("q")
+            report = measurability(d)
+            if not report.measurable:
+                continue
+            measurable += 1
+            dm = DistMap(prog, exact=True)
+            fast = exact_probability_measurable(d, dm, report)
+            assert fast == exact_probability(d, dm), f"seed {seed}"
+        assert measurable >= 100
 
 
 class TestAgainstIndependentOracles:

@@ -68,7 +68,7 @@ class SamplingWorld:
         got = self.assignment.get((ref, inst))
         if got is None:
             spec = program.switch_spec(ref)
-            got = draw(self.rng, spec.domain.values, spec.dist.weights)
+            got = draw(self.rng, spec.domain.values, spec.dist.float_weights)
             self.assignment[(ref, inst)] = got
         return (got,)
 
@@ -86,11 +86,11 @@ class EnumeratingWorld:
 
 
 def draw(rng, values, weights):
-    """One categorical draw; midpoint scan over cumulative weights."""
+    """One categorical draw; midpoint scan over cumulative float weights."""
     u = rng.random()
     acc = 0.0
     for value, w in zip(values, weights):
-        acc += float(w)
+        acc += w
         if u < acc:
             return value
     return values[-1]

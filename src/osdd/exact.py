@@ -2,13 +2,17 @@
 
 The general recursion sums, per node, over the values of the output
 variable admitted by each edge label under the accumulated grounding of
-free variables, weighting by the switch distribution; memoization keys
-on the restriction of that grounding to the variables a subtree actually
-reads.  When every path constraint is measurable and all switches are
-uniform, the per-edge solution count is a constant, so each edge adds
-its measure times the uniform probability times its child's probability:
-the sum reads no grounding, and its cost follows the diagram, not the
-domain.
+free variables, weighting by the switch distribution.  It is lifted over
+interchangeable values: values that no label names and that every
+domain and every switch of the diagram treat alike.  Such values give the
+same probability wherever they stand in a grounding, so an edge sums the
+mass of each class once and recurses on one representative, and the
+memo keys on the grounding's class pattern (which positions hold equal
+values of which class), not on the grounding itself.  When every path
+constraint is measurable and all switches are uniform, the per-edge
+solution count is a constant, so each edge adds its measure times the
+uniform probability times its child's probability: the sum reads no
+grounding, and its cost follows the diagram, not the domain.
 """
 
 from __future__ import annotations
@@ -40,9 +44,7 @@ class DistMap:
         table = self._prob_cache.get(ref)
         if table is None:
             spec = self.spec(ref)
-            weights = spec.dist.weights
-            if not self.exact:
-                weights = [float(w) for w in weights]
+            weights = spec.dist.weights if self.exact else spec.dist.float_weights
             table = dict(zip(spec.domain.values, weights))
             self._prob_cache[ref] = table
         return table[value]
@@ -82,8 +84,60 @@ def _admitted_values(label: ConstraintFormula, out: Var, env: dict):
     return tuple(v for v in out.domain.values if v not in excluded)
 
 
+def _value_classes(d: Osdd, dists: DistMap) -> dict:
+    """Class number of each value that is interchangeable in ``d`` with
+    another value.
+
+    Two values are interchangeable when neither is a constant in a label
+    of ``d`` and, for every (switch, domain) pair of its nodes, both are
+    outside the domain or both are inside it with the same probability.
+    Values with no partner are left out.
+    """
+    nodes = list(internal_nodes(d))
+    pairs = {}
+    for n in nodes:
+        pairs.setdefault((n.si.switch, n.out.domain.values_id), n.out.domain)
+    groups: dict = {}
+    for domain in {dom.values_id: dom for dom in pairs.values()}.values():
+        for value in domain.values:
+            signature = tuple(
+                dists.prob(switch, value) if value in dom else None
+                for (switch, _), dom in pairs.items()
+            )
+            groups.setdefault(signature, set()).add(value)
+    shared = [members for members in groups.values() if len(members) > 1]
+    if not shared:
+        return {}
+    constants = {
+        atom.rhs
+        for n in nodes
+        for label, _ in n.edges
+        for atom in label.atoms
+        if isinstance(atom.rhs, GroundTerm)
+    }
+    classes = {}
+    for number, members in enumerate(shared):
+        members = members - constants
+        if len(members) > 1:
+            classes.update(dict.fromkeys(members, number))
+    return classes
+
+
 def exact_probability(d: Osdd, dists: DistMap):
-    """Answer probability of a proper diagram (general recursion)."""
+    """Answer probability of a proper diagram (general recursion).
+
+    ``pi(n, env)`` is memoized on the class pattern of ``env`` restricted
+    to the free variables of ``n``: constants and values without a
+    partner stand for themselves, and a value of a class of
+    interchangeable values (see :func:`_value_classes`) stands as its
+    class and the first position it takes.  At an internal edge, the
+    admitted values of one class that no free variable of the child holds
+    give one recursion on a representative, weighted by their summed
+    probability; every other admitted value recurses alone.  A diagram
+    with no such class keeps plain value tuples as keys and the per-value
+    loop.  Rational results are the same ``Fraction``s either way; float
+    results may differ in the last bits from a per-value sum.
+    """
     if free_vars(d):
         raise DiagramError(
             f"cannot compute a probability with free variables "
@@ -91,6 +145,7 @@ def exact_probability(d: Osdd, dists: DistMap):
         )
     one = Fraction(1) if dists.exact else 1.0
     zero = Fraction(0) if dists.exact else 0.0
+    classes = _value_classes(d, dists)
     memo = {}
     free_order: dict = {}
 
@@ -101,10 +156,40 @@ def exact_probability(d: Osdd, dists: DistMap):
             free_order[id(n)] = got
         return got
 
+    def pattern(values):
+        first = {}
+        return tuple(
+            value if c is None else (c, first.setdefault(value, i))
+            for i, value in enumerate(values)
+            for c in (classes.get(value),)
+        )
+
+    def lifted(n, child, admitted, env):
+        """(value, probability mass) pairs, one recursion each."""
+        switch = n.si.switch
+        taken = {env[v] for v in free_tuple(child) if v != n.out}
+        pairs = []
+        reps = {}  # class -> [representative, count]
+        for value in admitted:
+            c = classes.get(value)
+            if c is None or value in taken:
+                pairs.append((value, dists.prob(switch, value)))
+            elif c in reps:
+                reps[c][1] += 1
+            else:
+                reps[c] = [value, 1]
+        # A class's values share one probability under every switch.
+        pairs.extend(
+            (value, count * dists.prob(switch, value))
+            for value, count in reps.values()
+        )
+        return pairs
+
     def pi(n, env):
         if n.is_leaf:
             return one if n.value else zero
-        key = (id(n), tuple(env[v] for v in free_tuple(n)))
+        values = tuple(env[v] for v in free_tuple(n))
+        key = (id(n), pattern(values) if classes else values)
         got = memo.get(key)
         if got is not None:
             return got
@@ -117,10 +202,15 @@ def exact_probability(d: Osdd, dists: DistMap):
                 for value in admitted:
                     total += dists.prob(n.si.switch, value)
                 continue
-            for value in admitted:
-                p = dists.prob(n.si.switch, value)
-                env[n.out] = value
-                total += p * pi(child, env)
+            if classes:
+                for value, p in lifted(n, child, admitted, env):
+                    env[n.out] = value
+                    total += p * pi(child, env)
+            else:
+                for value in admitted:
+                    p = dists.prob(n.si.switch, value)
+                    env[n.out] = value
+                    total += p * pi(child, env)
             env.pop(n.out, None)
         memo[key] = total
         return total

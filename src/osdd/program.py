@@ -149,9 +149,16 @@ class Clause:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Outcome weights for one switch, aligned with its domain values."""
+    """Outcome weights for one switch, aligned with its domain values.
+
+    ``float_weights`` holds the same weights converted to floats once, for
+    the samplers' draws.
+    """
 
     weights: tuple[Fraction, ...]
+    float_weights: tuple[float, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if any(w < 0 for w in self.weights):
@@ -163,6 +170,9 @@ class Distribution:
             object.__setattr__(
                 self, "weights", tuple(w / total for w in self.weights)
             )
+        object.__setattr__(
+            self, "float_weights", tuple(float(w) for w in self.weights)
+        )
 
     @property
     def is_uniform(self) -> bool:

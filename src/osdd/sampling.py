@@ -82,7 +82,7 @@ def _select_edge(node, env: dict, dists: DistMap, rng):
         else:
             value = draw(rng, surviving, [p / factor for p in probs])
     else:
-        value = draw(rng, spec.domain.values, spec.dist.weights)
+        value = draw(rng, spec.domain.values, spec.dist.float_weights)
     env[node.out] = value
     for label, child in node.edges:
         if label.holds(env):
@@ -214,7 +214,7 @@ class OutcomeTree:
         node = slot.get(at)
         while type(node) is _Draw:
             spec = node.spec
-            value = draw(rng, spec.domain.values, spec.dist.weights)
+            value = draw(rng, spec.domain.values, spec.dist.float_weights)
             drawn[node.key] = value
             slot, at = node.children, value
             node = slot.get(at)

@@ -6,7 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from osdd.diagram import ONE, ZERO, combine, ground, to_proper
+from osdd import exact
+from osdd.constraints import TRUE, eq, formula, neq
+from osdd.diagram import (
+    ONE,
+    ZERO,
+    SwitchInstance,
+    SwitchRef,
+    canonical_instance_var,
+    combine,
+    ground,
+    internal_nodes,
+    make_node,
+    to_proper,
+    validate,
+)
 from osdd.engine import EvalSession
 from osdd.errors import DiagramError, EvalError
 from osdd.exact import (
@@ -25,6 +39,7 @@ from osdd.oracle import (
 from osdd.program import parse_program
 from osdd.programs import birthday_source
 from osdd.sampling import estimate
+from osdd.terms import GroundTerm
 
 from conftest import instance_chain, random_proper_diagram
 
@@ -32,6 +47,17 @@ from conftest import instance_chain, random_proper_diagram
 @pytest.fixture(scope="module")
 def small_birthday():
     return parse_program(birthday_source(days=8))
+
+
+@pytest.fixture(scope="module")
+def birthday_diagrams(birthday_program):
+    """same_birthday(n) at 365 days for n = 3..16, built in one session."""
+    session = EvalSession(birthday_program)
+    return {n: session.query(f"same_birthday({n})") for n in range(3, 17)}
+
+
+def uniform_switches(source):
+    return re.sub(r"set_sw\((\w+), \[[^]]*\]\)", r"set_sw(\1, uniform)", source)
 
 
 class TestExactProbability:
@@ -79,16 +105,6 @@ class TestMeasurability:
         assert report.all_measures()[0] == 8
 
     def test_non_measurable_diagram_reported(self, dom4):
-        from osdd.constraints import TRUE, eq, formula, neq
-        from osdd.diagram import (
-            SwitchInstance,
-            SwitchRef,
-            canonical_instance_var,
-            make_node,
-            validate,
-        )
-        from osdd.terms import GroundTerm
-
         s = SwitchRef("nm")
         x = canonical_instance_var(s, GroundTerm(1), dom4)
         y = canonical_instance_var(s, GroundTerm(2), dom4)
@@ -156,10 +172,7 @@ class TestFastPath:
         measurable = 0
         for seed in range(200):
             _, source = random_program(seed)
-            source = re.sub(
-                r"set_sw\((\w+), \[[^]]*\]\)", r"set_sw(\1, uniform)", source
-            )
-            prog = parse_program(source)
+            prog = parse_program(uniform_switches(source))
             d = EvalSession(prog).query("q")
             report = measurability(d)
             if not report.measurable:
@@ -169,6 +182,118 @@ class TestFastPath:
             fast = exact_probability_measurable(d, dm, report)
             assert fast == exact_probability(d, dm), f"seed {seed}"
         assert measurable >= 100
+
+
+class TestLifted:
+    """The general recursion sums interchangeable values once."""
+
+    def test_birthday_matches_closed_form(self, birthday_program, birthday_diagrams):
+        rational = DistMap(birthday_program, exact=True)
+        floats = DistMap(birthday_program)
+        for n, d in birthday_diagrams.items():
+            expected = closed_form_birthday(n, 365)
+            assert exact_probability(d, rational) == expected, n
+            assert exact_probability(d, floats) == pytest.approx(
+                float(expected), rel=1e-12
+            ), n
+
+    def test_work_follows_edges_not_groundings(
+        self, birthday_program, birthday_diagrams, monkeypatch
+    ):
+        calls = []
+        admitted = exact._admitted_values
+
+        def counting(label, out, env):
+            calls.append(out)
+            return admitted(label, out, env)
+
+        monkeypatch.setattr(exact, "_admitted_values", counting)
+        dm = DistMap(birthday_program, exact=True)
+        for n in (3, 16):
+            d = birthday_diagrams[n]
+            edges = sum(len(m.edges) for m in internal_nodes(d))
+            calls.clear()
+            exact_probability(d, dm)
+            # One call per edge per class pattern reaching its node; the
+            # per-grounding recursion made 266,451 calls at n = 3.
+            assert 0 < len(calls) <= 2 * edges, (n, len(calls), edges)
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            # A label constant inside a uniform domain: 3 is not
+            # interchangeable with 1, 2, 4 and 5.
+            (
+                "q :- msw(s, 1, X), msw(s, 2, Y), X \\= Y, Y \\= 3.\n"
+                "set_sw(s, uniform(1, 5)).\n",
+                Fraction(16, 25),
+            ),
+            # Two switches over the same values whose equal-weight values
+            # differ: s1 pairs b with c, s2 pairs a with b.
+            (
+                "q :- msw(s1, 1, X), msw(s2, 1, Y), X = Y.\n"
+                "values(s1, [a, b, c]).\nset_sw(s1, [0.5, 0.25, 0.25]).\n"
+                "values(s2, [a, b, c]).\nset_sw(s2, [0.25, 0.25, 0.5]).\n",
+                Fraction(5, 16),
+            ),
+            # Partially equal weights: a and b are interchangeable, c is not.
+            (
+                "q :- msw(s, 1, X), msw(s, 2, Y), msw(s, 3, Z), "
+                "X \\= Y, Y \\= Z.\n"
+                "values(s, [a, b, c]).\nset_sw(s, [0.25, 0.25, 0.5]).\n",
+                Fraction(13, 32),
+            ),
+        ],
+    )
+    def test_classes_respect_constants_and_every_switch(self, source, expected):
+        prog = parse_program(source)
+        d = EvalSession(prog).query("q")
+        assert brute_force_probability(prog, "q") == expected
+        assert exact_probability(d, DistMap(prog, exact=True)) == expected
+        assert exact_probability(d, DistMap(prog)) == pytest.approx(
+            float(expected), rel=1e-12
+        )
+
+    def test_classes_where_parent_edges_admit_every_value(self, dom4):
+        """Proper diagrams whose upper edges do not split on the constant,
+        or on the equality, that a lower label names: only the classes
+        keep those values apart."""
+        s = SwitchRef("nm")
+        x, y, z = (canonical_instance_var(s, GroundTerm(i), dom4) for i in (1, 2, 3))
+        c = GroundTerm("c")
+
+        def node(i, out, edges):
+            return make_node(SwitchInstance(s, GroundTerm(i)), out, edges)
+
+        names_constant = node(1, x, [(TRUE, node(2, y, [
+            (formula(neq(y, x), neq(y, c)), ONE),
+            (formula(eq(y, x)), ZERO),
+            (formula(eq(y, c), neq(y, x), neq(x, c)), ZERO),
+        ]))])
+        compares_two = node(1, x, [(TRUE, node(2, y, [(TRUE, node(3, z, [
+            (formula(neq(z, x), neq(z, y)), ONE),
+            (formula(eq(z, x), eq(z, y), eq(x, y)), ZERO),
+            (formula(eq(z, x), neq(z, y), neq(x, y)), ZERO),
+            (formula(eq(z, y), neq(z, x), neq(x, y)), ZERO),
+        ]))]))])
+        prog = parse_program(
+            "values(nm, [a, b, c, d]).\nset_sw(nm, uniform).\n"
+            "p :- msw(nm, 1, X), msw(nm, 2, Y), X \\= Y, Y \\= c.\n"
+            "q :- msw(nm, 1, X), msw(nm, 2, Y), msw(nm, 3, Z), Z \\= X, Z \\= Y.\n"
+        )
+        for d, query in ((names_constant, "p"), (compares_two, "q")):
+            assert validate(d) == []
+            expected = brute_force_probability(prog, query)
+            assert expected == Fraction(9, 16)
+            assert exact_probability(d, DistMap(prog, exact=True)) == expected, query
+
+    def test_random_uniform_programs_match_the_oracle(self):
+        for seed in range(60):
+            _, source = random_program(seed)
+            prog = parse_program(uniform_switches(source))
+            d = EvalSession(prog).query("q")
+            engine = exact_probability(d, DistMap(prog, exact=True))
+            assert engine == brute_force_probability(prog, "q"), f"seed {seed}"
 
 
 class TestAgainstIndependentOracles:

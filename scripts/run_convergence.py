@@ -63,7 +63,7 @@ def main():
             budget=args.samples,
             seed=args.seed,
             stride=args.stride,
-            session=session if mode == "lw" else None,
+            session=session,
         )
         path = outdir / f"{mode}.csv"
         path.write_text(run.csv())

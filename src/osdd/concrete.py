@@ -1,11 +1,11 @@
 """Deterministic program evaluation with concrete switch outcomes.
 
 This resolution path never touches diagrams: ``msw(S, K, X)`` unifies X
-with the value a policy assigns to the instance.  Policies cover the
-three users: a fixed world (brute-force enumeration), sample-on-first-use
-(the samplers), and branch-over-all-values (reachable-instance
-discovery).  It shares the builtin semantics of :mod:`osdd.program` and
-the term snapshots of :mod:`osdd.prolog` with the symbolic engine.
+with the value a policy assigns to the instance.  It serves only the
+brute-force oracle, through two policies: a fixed world (enumeration of
+worlds) and branch-over-all-values (reachable-instance discovery).  It
+shares the builtin semantics of :mod:`osdd.program` and the term
+snapshots of :mod:`osdd.prolog` with the symbolic engine.
 """
 
 from __future__ import annotations
@@ -53,26 +53,6 @@ class FixedWorld:
         return (got,)
 
 
-class SamplingWorld:
-    """Outcomes drawn from the declared distribution on first use.
-
-    Pre-seeded assignments (an evidence sample being extended by a query)
-    are respected; fresh draws are recorded.
-    """
-
-    def __init__(self, rng, assignment=None):
-        self.rng = rng
-        self.assignment = assignment if assignment is not None else {}
-
-    def outcomes(self, ref, inst, program):
-        got = self.assignment.get((ref, inst))
-        if got is None:
-            spec = program.switch_spec(ref)
-            got = draw(self.rng, spec.domain.values, spec.dist.float_weights)
-            self.assignment[(ref, inst)] = got
-        return (got,)
-
-
 class EnumeratingWorld:
     """Branches over every outcome, recording each instance it meets."""
 
@@ -83,17 +63,6 @@ class EnumeratingWorld:
         spec = program.switch_spec(ref)
         self.seen.setdefault((ref, inst), spec)
         return spec.domain.values
-
-
-def draw(rng, values, weights):
-    """One categorical draw; midpoint scan over cumulative float weights."""
-    u = rng.random()
-    acc = 0.0
-    for value, w in zip(values, weights):
-        acc += w
-        if u < acc:
-            return value
-    return values[-1]
 
 
 class WorldEvaluator:

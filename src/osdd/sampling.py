@@ -1,20 +1,19 @@
 """Likelihood-weighted and independent sampling with a streaming estimator.
 
-The LW sampler walks an evidence diagram top down.  At each node it draws
-a value for the node's output variable and follows the edge whose label
-holds.  Where 0-children exclude part of the output domain it draws from
-the declared distribution restricted to the surviving values S and
-multiplies the sample weight by P(S), the declared probability of the
-whole surviving set; elsewhere it draws from the declared distribution
-with the weight untouched.  An empty surviving set rejects the sample.
-Conditional estimates extend each consistent evidence sample by
-evaluating the query concretely, with already-drawn instances fixed and
-fresh ones sampled from their declared distributions.  The independent
-sampler evaluates evidence and query on one lazily sampled world with
-weight 1, rejecting the worlds where the evidence fails.  Both feed each
-attempt to :class:`EstimatorState` the same way.  Program evaluations go
-through an :class:`OutcomeTree`, which replays the outcome of a world it
-has met instead of evaluating the program again, with the same draws.
+Both samplers walk compiled diagrams.  The LW sampler walks an evidence
+diagram top down.  At each node it draws a value for the node's output
+variable and follows the edge whose label holds.  Where 0-children
+exclude part of the output domain it draws from the declared
+distribution restricted to the surviving values S and multiplies the
+sample weight by P(S), the declared probability of the whole surviving
+set; elsewhere it draws from the declared distribution with the weight
+untouched.  An empty surviving set rejects the sample.  Conditional
+estimates extend each consistent evidence sample by a prior walk of the
+query diagram: instances the evidence assigned keep their values, and
+fresh ones are drawn from their declared distributions.  The independent
+sampler prior-walks the evidence diagram with weight 1, rejecting at a
+0 leaf, and then the query diagram on the same assignment.  Both feed
+each attempt to :class:`EstimatorState` the same way.
 
 Randomness comes from a counter-based Philox generator so seeded runs
 are reproducible.
@@ -27,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concrete import SamplingWorld, WorldEvaluator, draw
 from .diagram import Osdd, free_vars
+from .engine import EvalSession
 from .errors import EvalError
 from .exact import DistMap, _admitted_values
 from .program import Program
@@ -38,13 +37,20 @@ RNG_KIND = "philox"
 
 CSV_HEADER = "samples,consistent,estimate,variance,mode,seed"
 
-# Most nodes one sampling run keeps in its OutcomeTree (a full tree is a
-# few MB: about 450 bytes a node on the 365-value birthday switch).
-OUTCOME_TREE_NODES = 10_000
-
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+def draw(rng, values, weights):
+    """One categorical draw; midpoint scan over cumulative float weights."""
+    u = rng.random()
+    acc = 0.0
+    for value, w in zip(values, weights):
+        acc += w
+        if u < acc:
+            return value
+    return values[-1]
 
 
 @dataclass
@@ -106,6 +112,32 @@ def lw_sample(evidence: Osdd, dists: DistMap, rng) -> WeightedSample:
         assignment[(node.si.switch, node.si.instance)] = value
         node = child
     return WeightedSample(assignment, weight, node.value != 0)
+
+
+def _prior_walk(diagram: Osdd, assignment: dict, dists: DistMap, rng) -> bool:
+    """Walk ``diagram`` from the root to a leaf under the declared
+    distributions; return whether the leaf is nonzero.
+
+    An instance already in ``assignment`` keeps its value; a fresh one is
+    drawn once and recorded there.  No holding label counts as a 0 leaf.
+    """
+    env = {}
+    node = diagram
+    while not node.is_leaf:
+        key = (node.si.switch, node.si.instance)
+        value = assignment.get(key)
+        if value is None:
+            spec = dists.spec(node.si.switch)
+            value = draw(rng, spec.domain.values, spec.dist.float_weights)
+            assignment[key] = value
+        env[node.out] = value
+        for label, child in node.edges:
+            if label.holds(env):
+                node = child
+                break
+        else:
+            return False
+    return node.value != 0
 
 
 @dataclass
@@ -177,62 +209,6 @@ class SamplingRun:
         return "\n".join(lines) + "\n"
 
 
-class _Draw:
-    """An OutcomeTree node: the instance drawn next and a child per value.
-    A leaf is the 1-tuple ``(outcome,)``."""
-
-    __slots__ = ("key", "spec", "children")
-
-    def __init__(self, key, spec):
-        self.key = key
-        self.spec = spec
-        self.children = {}
-
-
-class OutcomeTree:
-    """Outcomes of a deterministic evaluation on lazily sampled worlds.
-
-    The evaluation depends only on the values it draws, so the tree
-    records, below each preset assignment, the instance the evaluation
-    draws next with one child per value drawn, and at a leaf the
-    outcome.  Walking a known path makes the draws evaluating would
-    make, in the same order from the same generator; an unknown value
-    falls back to evaluating on the values drawn so far, and its path is
-    added while the tree is below ``OUTCOME_TREE_NODES``.  Seeded runs
-    are therefore unchanged.
-    """
-
-    def __init__(self, program: Program, evaluate):
-        self.program = program
-        self.evaluate = evaluate
-        self.roots: dict = {}
-        self.size = 0
-
-    def outcome(self, rng, preset=None):
-        drawn = dict(preset or {})
-        slot, at = self.roots, tuple(drawn.items())
-        node = slot.get(at)
-        while type(node) is _Draw:
-            spec = node.spec
-            value = draw(rng, spec.domain.values, spec.dist.float_weights)
-            drawn[node.key] = value
-            slot, at = node.children, value
-            node = slot.get(at)
-        if node is not None:
-            return node[0]
-        known = len(drawn)
-        world = SamplingWorld(rng, drawn)
-        result = self.evaluate(world)
-        fresh = list(world.assignment)[known:]
-        if self.size + len(fresh) < OUTCOME_TREE_NODES:
-            self.size += len(fresh) + 1
-            for key in fresh:
-                node = slot[at] = _Draw(key, self.program.switch_spec(key[0]))
-                slot, at = node.children, world.assignment[key]
-            slot[at] = (result,)
-        return result
-
-
 def _fmt(value) -> str:
     return "" if value is None else repr(value)
 
@@ -252,7 +228,8 @@ def estimate(
     Conditional runs estimate P(query | evidence) as the weight-sum of
     samples satisfying query-and-evidence over the weight-sum of samples
     satisfying evidence; unconditional runs average the weights of
-    samples satisfying the query over all attempts.
+    samples satisfying the query over all attempts.  Both modes compile
+    their diagrams in ``session`` (a fresh one when None).
     """
     if budget < 1:
         raise EvalError("sample budget must be at least 1")
@@ -267,41 +244,25 @@ def estimate(
     state = EstimatorState()
     run = SamplingRun(state)
     dists = DistMap(program)
-
-    if mode == "lw":
-        from .engine import EvalSession
-
-        session = session or EvalSession(program)
-        target = session.query(evidence if evidence is not None else query)
-
-        def evaluate(world):
-            return WorldEvaluator(program, world).holds(query)
-
-    else:
-
-        def evaluate(world):
-            ev = WorldEvaluator(program, world)
-            if evidence is None:
-                ok = ev.holds(query)
-                return ok, ok
-            if not ev.holds(evidence):
-                return False, False
-            return True, ev.holds(query)
-
-    outcomes = OutcomeTree(program, evaluate)
+    session = session or EvalSession(program)
+    # The first diagram decides consistency.  Only a consistent conditional
+    # sample walks the query diagram, with its draws after the evidence's.
+    target = session.query(evidence if evidence is not None else query)
+    query_diagram = None if evidence is None else session.query(query)
 
     for done in range(1, budget + 1):
         if mode == "lw":
             sample = lw_sample(target, dists, rng)
             consistent, weight = sample.consistent, sample.weight
-            # The query draws come after the evidence draws, and only for a
-            # consistent conditional sample.
-            q_true = consistent and (
-                evidence is None or outcomes.outcome(rng, sample.assignment)
-            )
+            assignment = sample.assignment
         else:
-            consistent, q_true = outcomes.outcome(rng)
+            assignment = {}
+            consistent = _prior_walk(target, assignment, dists, rng)
             weight = 1.0
+        q_true = consistent and (
+            query_diagram is None
+            or _prior_walk(query_diagram, assignment, dists, rng)
+        )
         # Unconditional runs average over every attempt; conditional runs
         # divide by the weight of the consistent ones.
         total = 1.0 if evidence is None else (weight if consistent else 0.0)

@@ -300,6 +300,22 @@ class TestSample:
             assert code == 1
             assert "for/3 bounds must be integers" in err
 
+    def test_arithmetic_on_an_outcome_is_a_user_error(self, capsys, tmp_path):
+        # Both samplers sample the compiled model, so they accept exactly
+        # the programs the symbolic engine compiles.
+        src = tmp_path / "arith.psm"
+        src.write_text(
+            "q :- msw(s, 1, X), X =:= 1.\n"
+            "values(s, [0, 1]).\nset_sw(s, uniform).\n"
+        )
+        for mode in ("lw", "independent"):
+            code, _, err = run_cli(
+                capsys, "sample", "--program", src, "--query", "q",
+                "--mode", mode, "--samples", 5,
+            )
+            assert code == 1
+            assert "cannot evaluate arithmetic term" in err
+
 
 class TestReproduce:
     def test_missing_experiment_is_usage_error(self, capsys):

@@ -1,21 +1,21 @@
 """Likelihood-weighted and independent sampling, estimator behavior."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from osdd import sampling
-from osdd.concrete import SamplingWorld, WorldEvaluator
-from osdd.diagram import SwitchRef, osdd_and, to_proper
+from osdd.concrete import WorldEvaluator
+from osdd.diagram import osdd_and, to_proper
 from osdd.engine import EvalSession
 from osdd.errors import EvalError
 from osdd.exact import DistMap, exact_probability
+from osdd.oracle import brute_force_probability, random_program
 from osdd.program import parse_program
 from osdd.programs import birthday_source
-from osdd.terms import GroundTerm
 from osdd.sampling import (
     EstimatorState,
-    OutcomeTree,
     estimate,
     lw_sample,
     make_rng,
@@ -247,64 +247,47 @@ class TestEstimate:
             estimate(palindrome_program, "evidence(4)", budget=0)
 
 
-# Which instance is drawn after instance 1 depends on its value.
-BRANCHING = (
-    "e :- msw(s, 1, X), msw(s, 2, Y), Y \\= X.\n"
-    "t :- msw(s, 1, X), (X = a -> msw(s, 3, W), W = b ; msw(s, 4, V), V \\= c).\n"
-    "values(s, [a, b, c]).\nset_sw(s, [0.5, 0.3, 0.2]).\n"
-)
-
-
-class TestOutcomeTree:
-    @pytest.mark.parametrize("limit", [sampling.OUTCOME_TREE_NODES, 5])
-    def test_replays_evaluation_draw_for_draw(self, monkeypatch, limit):
-        monkeypatch.setattr(sampling, "OUTCOME_TREE_NODES", limit)
-        program = parse_program(BRANCHING)
-        evaluations = 0
-
-        def evaluate(world):
-            nonlocal evaluations
-            evaluations += 1
-            ev = WorldEvaluator(program, world)
-            return ev.holds("e") and ev.holds("t")
-
-        tree = OutcomeTree(program, evaluate)
-        rng_tree, rng_plain = make_rng(5), make_rng(5)
-        first = (SwitchRef("s"), GroundTerm(1))
-        for i in range(600):
-            preset = {first: GroundTerm("abc"[i % 3])} if i % 2 else {}
-            got = tree.outcome(rng_tree, preset)
-            want = evaluate(SamplingWorld(rng_plain, dict(preset)))
-            assert got == want
-            assert rng_tree.random() == rng_plain.random()  # same draws made
-        assert tree.size <= limit
-        if limit > 5:
-            # 600 plain evaluations plus one per tree miss, over a few
-            # dozen worlds.
-            assert evaluations < 700
+class TestWorkBounds:
+    """The samplers walk compiled diagrams: they never evaluate the
+    program concretely, and a rejected sample stops at its first 0 leaf."""
 
     @pytest.mark.parametrize("mode", ["lw", "independent"])
     @pytest.mark.parametrize(
         "query, evidence",
-        [("t", "e"), ("e", "t"), ("t", None), ("query(8, 2)", "evidence(8)")],
+        [("query(8, 2)", "evidence(8)"), ("evidence(8)", None)],
     )
-    def test_estimate_csv_unchanged_without_tree(
+    def test_no_concrete_evaluation(
         self, monkeypatch, palindrome_program, mode, query, evidence
     ):
-        program = (
-            palindrome_program if query.startswith("query")
-            else parse_program(BRANCHING)
+        def refuse(*args):
+            raise AssertionError("a sampler evaluated the program concretely")
+
+        monkeypatch.setattr(WorldEvaluator, "holds", refuse)
+        run = estimate(
+            palindrome_program, query, evidence, mode=mode, budget=300, seed=3
         )
+        assert run.state.n_total == 300
 
-        def csv():
-            return estimate(
-                program, query, evidence, mode=mode, budget=1500, seed=9,
-                stride=100,
-            ).csv()
+    def test_independent_rejection_draws_fewer_than_every_letter(
+        self, monkeypatch, palindrome_program
+    ):
+        # Evaluating the program draws all 12 letters of a string before it
+        # checks the palindrome; the walk stops at the first mismatch.
+        calls = 0
+        draw = sampling.draw
 
-        with_tree = csv()
-        monkeypatch.setattr(sampling, "OUTCOME_TREE_NODES", 0)
-        assert csv() == with_tree
+        def counted(rng, values, weights):
+            nonlocal calls
+            calls += 1
+            return draw(rng, values, weights)
+
+        monkeypatch.setattr(sampling, "draw", counted)
+        run = estimate(
+            palindrome_program, "evidence(12)", mode="independent",
+            budget=800, seed=5,
+        )
+        assert run.rejected > 0
+        assert calls < 12 * 800
 
 
 class TestEstimatorState:
@@ -314,3 +297,109 @@ class TestEstimatorState:
             s.update(u, w, True)
         assert s.variance >= 0
 
+
+def _exact(x: float) -> Fraction:
+    """The ratio of small integers that a float probability or weight
+    stands for.  Here every one has a denominator below 10**6 (declared
+    weights are multiples of 1/8, domains have at most 4 values and paths
+    at most 6 nodes), and float error is far below the gap between such
+    fractions, so the result is exact."""
+    return Fraction(x).limit_denominator(10**6)
+
+
+class _Exhausted(Exception):
+    pass
+
+
+class _EveryChoice:
+    """A stand-in generator under which successive attempts of
+    ``estimate`` take every sequence of random choices once.
+
+    ``estimate`` draws only through ``sampling.draw`` and
+    ``rng.integers``.  An attempt replays a script of choice indices,
+    taking index 0 at a choice point the script does not reach yet, and
+    multiplies up the exact probability of its choices.  At the attempt's
+    estimator update, :meth:`end_attempt` records the attempt and
+    advances the script like an odometer.
+    """
+
+    def __init__(self):
+        self.script = []  # [index, number of options] per choice point
+        self.pos = 0
+        self.prob = Fraction(1)
+        self.attempts = []  # (probability, numerator, denominator)
+
+    def _choose(self, probs):
+        if self.pos == len(self.script):
+            self.script.append([0, len(probs)])
+        i = self.script[self.pos][0]
+        self.pos += 1
+        self.prob *= probs[i]
+        return i
+
+    def integers(self, n):
+        return self._choose([Fraction(1, n)] * n)
+
+    def draw(self, rng, values, weights):
+        return values[self._choose([_exact(w) for w in weights])]
+
+    def end_attempt(self, u, w):
+        assert self.pos == len(self.script)
+        self.attempts.append((self.prob, _exact(u), _exact(w)))
+        while self.script and self.script[-1][0] + 1 == self.script[-1][1]:
+            self.script.pop()
+        if not self.script:
+            raise _Exhausted
+        self.script[-1][0] += 1
+        self.pos, self.prob = 0, Fraction(1)
+
+
+def _expected_sums(monkeypatch, program, query, evidence, mode):
+    """Exact E[numerator] and E[denominator] of one attempt."""
+    choices = _EveryChoice()
+    update = EstimatorState.update
+
+    def update_then_advance(self, u, w, consistent):
+        update(self, u, w, consistent)
+        choices.end_attempt(u, w)
+
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "make_rng", lambda seed: choices)
+        m.setattr(sampling, "draw", choices.draw)
+        m.setattr(EstimatorState, "update", update_then_advance)
+        with pytest.raises(_Exhausted):
+            estimate(program, query, evidence, mode=mode, budget=10**6)
+    assert sum(p for p, _, _ in choices.attempts) == 1
+    return (
+        sum(p * u for p, u, _ in choices.attempts),
+        sum(p * w for p, _, w in choices.attempts),
+    )
+
+
+# A query over s0 (every random program declares it, with values c0 and
+# c1 at least) whose second clause reads an instance no random program
+# has, so a conditional LW sample must draw it fresh.
+EXTRA_QUERY = (
+    "r :- msw(s0, 1, X), X = c0.\n"
+    "r :- msw(s0, 6, Y), Y \\= c1.\n"
+    "qr :- q, r.\n"
+)
+
+
+class TestExactExpectation:
+    """Both estimators are unbiased in numerator and denominator: summed
+    over every traversal, weighted by its probability, they give
+    P(query and evidence) and P(evidence) (1 unconditionally)."""
+
+    @pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40)])
+    def test_matches_brute_force(self, monkeypatch, seeds):
+        for seed in seeds:
+            _, source = random_program(seed)
+            program = parse_program(source + EXTRA_QUERY)
+            p_q = brute_force_probability(program, "q")
+            p_qr = brute_force_probability(program, "qr")
+            for mode in ("lw", "independent"):
+                got = _expected_sums(monkeypatch, program, "q", None, mode)
+                assert got == (p_q, 1), (seed, mode)
+                got = _expected_sums(monkeypatch, program, "r", "q", mode)
+                assert got == (p_qr, p_q), (seed, mode)

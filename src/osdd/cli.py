@@ -38,16 +38,27 @@ from .programs import BIRTHDAY, PALINDROME
 from .sampling import RNG_KIND, estimate
 
 
+def _read(path):
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text ({exc.reason})")
+
+
 def _load_program(path):
     if path is None:
         raise UsageError("--program is required")
-    text = Path(path).read_text()
-    return parse_program(text)
+    return parse_program(_read(path))
 
 
 def _write(path, text):
     if path:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def cmd_compile(args) -> int:
@@ -71,7 +82,7 @@ def cmd_compile(args) -> int:
 def cmd_infer(args) -> int:
     program = _load_program(args.program)
     if args.osdd:
-        text = Path(args.osdd).read_text()
+        text = _read(args.osdd)
         diagram = parse_osdd(
             text, lambda ref: program.switch_spec(ref).domain
         )

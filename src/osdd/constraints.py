@@ -38,7 +38,7 @@ class AtomicConstraint:
         if isinstance(self.rhs, Var):
             if self.rhs == self.lhs:
                 raise ValueError("constraint relates a variable to itself")
-            if self.lhs.domain.values != self.rhs.domain.values:
+            if self.lhs.domain.values_id != self.rhs.domain.values_id:
                 raise ValueError(
                     f"variables {self.lhs} and {self.rhs} range over different domains"
                 )
@@ -256,7 +256,7 @@ def _atom_between(a, b, polarity) -> Optional[AtomicConstraint]:
     # domains (relatable only through shared constants), have no atomic
     # form; they stay implicit in the graph structure.
     if isinstance(a, Var) and isinstance(b, Var):
-        if a.domain.values != b.domain.values:
+        if a.domain.values_id != b.domain.values_id:
             return None
         return AtomicConstraint(a, b, polarity)
     if isinstance(a, Var) and isinstance(b, GroundTerm):

@@ -399,16 +399,18 @@ def _normalize(d: Osdd, path: ConstraintFormula) -> Osdd:
                 if atom not in g.atoms:
                     continue
                 rest = g.without(atom)
-                if cf.satisfiable(path.conjoin(rest).conjoin(atom.negated())):
-                    continue  # not redundant under the path
-                ok = all(
-                    not cf.compatible(rest, labels[j])
+                # Both tests must pass; the sibling test reads labels
+                # only, so it runs before the one over the whole path.
+                if any(
+                    cf.compatible(rest, labels[j])
                     for j in range(len(labels))
                     if j != i
-                )
-                if ok:
-                    labels[i] = rest
-                    changed = True
+                ):
+                    continue  # dropping it would break mutual exclusion
+                if cf.satisfiable(path.conjoin(rest).conjoin(atom.negated())):
+                    continue  # not redundant under the path
+                labels[i] = rest
+                changed = True
 
     out_edges = [
         (g, normalize(child, path.conjoin(g)))

@@ -7,7 +7,9 @@ with tabling: a call is keyed on the :func:`~osdd.prolog.freeze` snapshot
 of its arguments plus the identity of the incoming diagram, and answers
 whose argument snapshots are equal have their output diagrams merged by
 disjunction, which is the observable behavior of answer combination over
-a lattice.  Stored answers are replayed with :func:`~osdd.prolog.thaw`.
+a lattice.  The merge happens once, when the call's table entry is
+complete (see :func:`disjoin`).  Stored answers are replayed with
+:func:`~osdd.prolog.thaw`.
 
 Switch outputs are special logic variables that never take ordinary
 bindings.  A unification that would equate two of them, or one of them
@@ -160,20 +162,43 @@ def transform(program: Program) -> TransformedProgram:
 # Answer tables
 
 
+def disjoin(diagrams) -> Osdd:
+    """Disjunction of a non-empty list of diagrams.
+
+    Folds pairwise, level by level in list order, normalizing every pair,
+    so the operands of each disjunction are of similar size, rather than
+    one union that is normalized again each time it grows by one diagram.
+    A single diagram is returned unchanged.
+    """
+    while len(diagrams) > 1:
+        paired = [
+            normalize(osdd_or(a, b)) for a, b in zip(diagrams[::2], diagrams[1::2])
+        ]
+        if len(diagrams) % 2:
+            paired.append(diagrams[-1])
+        diagrams = paired
+    return diagrams[0]
+
+
 @dataclass
 class TableEntry:
     status: str  # "computing" | "done"
-    answers: dict = field(default_factory=dict)  # answer snapshots -> Osdd
+    # answer snapshots -> Osdd once done; -> list of derived Osdds while
+    # computing
+    answers: dict = field(default_factory=dict)
 
 
 class AnswerTable:
     """Tabled answers per (predicate, call pattern, incoming diagram).
 
-    Re-deriving an existing answer replaces its stored diagram with the
-    disjunction of old and new.  Constraint handling is call-local: the
-    builtins surface constraints exactly where they arise, so no separate
-    store survives an answer (plain variables bind eagerly and a switch
-    variable always has a node in the threaded diagram already).
+    While an entry is computing, each derivation's diagram is collected
+    under its answer snapshot; :meth:`finish` then stores, per snapshot,
+    the :func:`disjoin` of its derivations.  No caller reads an entry
+    before it is finished: a call that finds its own entry computing is a
+    recursive call and is rejected.  Constraint handling is call-local:
+    the builtins surface constraints exactly where they arise, so no
+    separate store survives an answer (plain variables bind eagerly and a
+    switch variable always has a node in the threaded diagram already).
     """
 
     def __init__(self):
@@ -188,10 +213,11 @@ class AnswerTable:
         return entry
 
     def add_answer(self, entry, templates, delta):
-        got = entry.answers.get(templates)
-        if got is not None:
-            delta = normalize(osdd_or(got, delta))
-        entry.answers[templates] = delta
+        entry.answers.setdefault(templates, []).append(delta)
+
+    def finish(self, entry):
+        entry.answers = {t: disjoin(ds) for t, ds in entry.answers.items()}
+        entry.status = "done"
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +256,11 @@ class EvalSession:
             o_out,
         )
         call = Struct(f[0], args)
-        result = ZERO
         mark = self.trail.mark()
-        for _ in self._solve((call,), 0):
-            diagram = deref(o_out)
-            result = normalize(osdd_or(result, diagram.value))
+        solutions = [deref(o_out).value for _ in self._solve((call,), 0)]
         self.trail.undo_to(mark)
+        # disjoin returns a lone solution unnormalized
+        result = normalize(disjoin(solutions)) if solutions else ZERO
         if not has_live_leaf(result):
             return ZERO  # no worlds at all: canonical empty diagram
         return to_proper(result)
@@ -346,7 +371,7 @@ class EvalSession:
                     self.table.add_answer(entry, answer, delta_t.value)
             self.trail.undo_to(mark)
         self.trail.undo_to(mark0)
-        entry.status = "done"
+        self.table.finish(entry)
         return entry
 
     # -- constraint surfacing --------------------------------------------------

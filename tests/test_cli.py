@@ -75,6 +75,39 @@ class TestCompile:
         assert code == 0
         assert out.read_text().strip() == "0"
 
+    def test_missing_program_is_a_user_error(self, capsys, tmp_path):
+        missing = tmp_path / "nope.psm"
+        code, _, stderr = run_cli(
+            capsys, "compile", "--program", missing, "--query", "q"
+        )
+        assert code == 1
+        assert stderr.strip() == (
+            f"error: cannot read {missing}: No such file or directory"
+        )
+
+    def test_binary_program_is_a_user_error(self, capsys, tmp_path):
+        binary = tmp_path / "binary.psm"
+        binary.write_bytes(b"q.\n\xd0\x00\xff\n")
+        code, _, stderr = run_cli(
+            capsys, "compile", "--program", binary, "--query", "q"
+        )
+        assert code == 1
+        assert stderr.startswith(f"error: cannot read {binary}: not UTF-8 text")
+
+    def test_unwritable_out_is_a_user_error(self, program_files, capsys, tmp_path):
+        out = tmp_path / "no_such_dir" / "x.osdd"
+        code, _, stderr = run_cli(
+            capsys,
+            "compile",
+            "--program", program_files["birthday"],
+            "--query", "same_birthday(2)",
+            "--out", out,
+        )
+        assert code == 1
+        assert stderr.strip() == (
+            f"error: cannot write {out}: No such file or directory"
+        )
+
 
 class TestInfer:
     def test_palindrome_exact(self, program_files, capsys):
@@ -234,6 +267,19 @@ class TestInfer:
         )
         assert code == 1
         assert "general exact computation" in err
+
+    def test_missing_osdd_file_is_a_user_error(self, program_files, capsys, tmp_path):
+        missing = tmp_path / "nope.osdd"
+        code, _, stderr = run_cli(
+            capsys,
+            "infer",
+            "--program", program_files["birthday"],
+            "--osdd", missing,
+        )
+        assert code == 1
+        assert stderr.strip() == (
+            f"error: cannot read {missing}: No such file or directory"
+        )
 
 
 class TestSample:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from osdd import diagram, engine
 from osdd.constraints import TRUE, eq, formula, neq
 from osdd.diagram import (
     ONE,
@@ -11,11 +12,15 @@ from osdd.diagram import (
     canonical_instance_var,
     make_node,
     node_count,
+    normalize,
+    osdd_or,
     to_proper,
     validate,
 )
+from osdd.diagram_io import format_osdd
 from osdd.engine import EvalSession, evaluate, transform
-from osdd.errors import EvalError, ParseError
+from osdd.errors import EvalError, OsddError, ParseError
+from osdd.oracle import GenLimits, random_program
 from osdd.program import parse_program
 from osdd.prolog import (
     LVar,
@@ -243,6 +248,78 @@ class TestEvaluate:
         inner = next(c for _, c in d.edges)
         labels = sorted(str(g) for g, _ in inner.edges)
         assert any("=" in s for s in labels)
+
+
+def linear_disjoin(diagrams):
+    """Reference: each derivation OR-ed into a running union that is
+    normalized again every time it grows."""
+    result = diagrams[0]
+    for d in diagrams[1:]:
+        result = normalize(osdd_or(result, d))
+    return result
+
+
+def build_both_ways(program, query, monkeypatch):
+    """format_osdd of the query under the balanced fold and under the
+    linear reference, or the error class each raised."""
+    outputs = []
+    for fold in (engine.disjoin, linear_disjoin):
+        monkeypatch.setattr(engine, "disjoin", fold)
+        try:
+            outputs.append(format_osdd(EvalSession(program).query(query)))
+        except OsddError as exc:
+            outputs.append(type(exc))
+    return outputs
+
+
+class TestFoldOrder:
+    """Folding a tabled answer's derivations pairwise gives the diagram
+    the one-at-a-time fold gives."""
+
+    @pytest.mark.parametrize(
+        "limits",
+        [GenLimits(), GenLimits(max_switches=1, max_instances=6, max_domain=5)],
+    )
+    def test_random_programs(self, limits, monkeypatch):
+        for seed in range(300):
+            program, _ = random_program(seed, limits)
+            balanced, linear = build_both_ways(program, "q", monkeypatch)
+            assert balanced == linear, f"seed {seed}"
+
+    def test_birthday(self, birthday_program, monkeypatch):
+        for n in range(3, 11):
+            balanced, linear = build_both_ways(
+                birthday_program, f"same_birthday({n})", monkeypatch
+            )
+            assert balanced == linear, f"same_birthday({n})"
+
+    def test_palindrome(self, palindrome_program, monkeypatch):
+        for n in range(8, 13):
+            for query in (f"evidence({n})", f"query({n}, 2)", f"query({n}, {n // 2})"):
+                balanced, linear = build_both_ways(
+                    palindrome_program, query, monkeypatch
+                )
+                assert balanced == linear, query
+
+    def test_birthday_build_combines_a_bounded_number_of_times(
+        self, birthday_program, monkeypatch
+    ):
+        # same_birthday(14) has 91 derivations.  Re-normalizing a growing
+        # union once per derivation makes 4,851 _combine calls; the
+        # pairwise fold about 1,840.  Nodes are interned and _combine's
+        # memo is per call, so the count does not depend on what ran
+        # earlier in the process.
+        calls = 0
+        original = diagram._combine
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(diagram, "_combine", counting)
+        EvalSession(birthday_program).query("same_birthday(14)")
+        assert calls <= 2_500
 
 
 class TestSnapshot:

@@ -191,6 +191,7 @@ def cmd_reproduce(args) -> int:
         )
     header, measure = sweeps[args.experiment](args)
     rows = [header]
+    failed = []
     for n in range(6, 17, 2):
         try:
             cells, elapsed = measure(n)
@@ -198,10 +199,13 @@ def cmd_reproduce(args) -> int:
             rows.append(f"{n},{cells},{status}")
         except OsddError as exc:
             rows.append(f"{n},,,,,error:{exc}")
+            failed.append(f"size {n}: {exc}")
     table = "\n".join(rows) + "\n"
     _write(args.out, table)
     if not args.out:
         sys.stdout.write(table)
+    if failed:
+        raise OsddError(f"{args.experiment} sweep failed at " + "; ".join(failed))
     return 0
 
 

@@ -5,6 +5,13 @@ conjunction.  The module provides entailment closure (as a labeled graph
 over equivalence classes), satisfiability, negation into a mutually
 exclusive cover, canonical byte keys, solution projection, and the
 saturation/measure machinery used by the measurable fast path.
+
+Formulas are hash-consed: :class:`ConstraintFormula` returns one object
+per atom set for the life of the process, so equality is identity and a
+formula's canonical key and satisfiability are computed once and kept on
+it.  Only :meth:`ConstraintFormula.graph` keeps the closure graph; the key
+and the satisfiability test close a formula without keeping the graph,
+because every formula stays alive and most are never asked for it.
 """
 
 from __future__ import annotations
@@ -85,16 +92,26 @@ def neq(lhs: Var, rhs) -> AtomicConstraint:
     return AtomicConstraint(lhs, rhs, NEQ)
 
 
+# Atom set -> its one formula.  Entries are never evicted, so code may
+# key tables on ``id(formula)``.
+_formulas: dict = {}
+
+
 class ConstraintFormula:
-    """An immutable conjunction of atomic constraints."""
+    """An immutable conjunction of atomic constraints, hash-consed: one
+    object per atom set in the process, so equal formulas are identical
+    and their key and satisfiability are computed once."""
 
-    __slots__ = ("atoms", "_graph", "_key", "_hash")
+    __slots__ = ("atoms", "_graph", "_key", "_sat")
 
-    def __init__(self, atoms: Iterable[AtomicConstraint] = ()):
-        self.atoms = frozenset(atoms)
-        self._graph = None
-        self._key = None
-        self._hash = None
+    def __new__(cls, atoms: Iterable[AtomicConstraint] = ()):
+        atoms = frozenset(atoms)
+        f = _formulas.get(atoms)
+        if f is None:
+            f = _formulas[atoms] = object.__new__(cls)
+            f.atoms = atoms
+            f._graph = f._key = f._sat = None
+        return f
 
     def conjoin(self, other) -> "ConstraintFormula":
         if isinstance(other, AtomicConstraint):
@@ -134,14 +151,6 @@ class ConstraintFormula:
         if self._key is None:
             self._key = canonical_key(self)
         return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, ConstraintFormula) and other.atoms == self.atoms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.atoms)
-        return self._hash
 
     def __iter__(self):
         return iter(self.sorted_atoms())
@@ -323,7 +332,7 @@ def canonical_key(f: ConstraintFormula) -> bytes:
     keys, and byte order on keys is a total order on formulas.  All
     unsatisfiable formulas share one sentinel key.
     """
-    g = f.graph()
+    g = f._graph or close(f)
     if g.contradiction:
         return b"\xffunsat"
     parts = []
@@ -379,9 +388,6 @@ def _residual(cls) -> _Residual:
     return _Residual(domain.values, domain)
 
 
-_sat_cache: dict = {}
-
-
 def satisfiable(f: ConstraintFormula) -> bool:
     """Exact satisfiability over the variables' finite domains.
 
@@ -394,14 +400,13 @@ def satisfiable(f: ConstraintFormula) -> bool:
     listed, so the cost does not depend on domain size unless the
     backtracking fallback runs.
     """
-    cached = _sat_cache.get(f.atoms)
-    if cached is None:
-        cached = _sat_cache[f.atoms] = _satisfiable(f)
-    return cached
+    if f._sat is None:
+        f._sat = _satisfiable(f)
+    return f._sat
 
 
 def _satisfiable(f: ConstraintFormula) -> bool:
-    g = f.graph()
+    g = f._graph or close(f)
     if g.contradiction:
         return False
     if not g.classes:

@@ -3,9 +3,10 @@
 An Osdd is a decision diagram whose internal nodes name switch instances
 and whose edges carry constraint formulas over the output variables bound
 so far.  Nodes are immutable and hash-consed: nodes with the same
-instance, output variable and edges (equal labels to identical children)
-are one object, so equality checks are identity checks.  Nothing is
-renamed, since each switch instance has one :func:`canonical_instance_var`.
+instance, output variable and edges (identical labels to identical
+children) are one object, so equality checks are identity checks.
+Nothing is renamed, since each switch instance has one
+:func:`canonical_instance_var`.
 
 The well-formedness conditions checked by :func:`validate`:
 
@@ -25,7 +26,6 @@ A diagram that satisfies the first three only is "improper";
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 from . import constraints as cf
@@ -104,7 +104,6 @@ class Node(Osdd):
 ZERO = Leaf(0)
 ONE = Leaf(1)
 
-_intern_lock = threading.Lock()
 _intern: dict = {}
 
 
@@ -145,26 +144,25 @@ def canonical_instance_var(ref: SwitchRef, instance: GroundTerm, domain) -> Var:
     built diagrams over the same instances intern to identical nodes.
     """
     key = (ref, instance, domain.values_id)
-    with _intern_lock:
-        got = _instance_var_table.get(key)
-        if got is None:
-            got = Var(f"X{len(_instance_var_table) + 1}", domain)
-            _instance_var_table[key] = got
+    got = _instance_var_table.get(key)
+    if got is None:
+        got = Var(f"X{len(_instance_var_table) + 1}", domain)
+        _instance_var_table[key] = got
     return got
 
 
 def make_node(si: SwitchInstance, out: Var, edges) -> Osdd:
     """Intern a node; edges are sorted by label key and children must
-    already be interned, so keying the unique table on ``id(child)`` is
-    sound: the table keeps every child alive."""
+    already be interned, so keying the unique table on ``id(label)`` and
+    ``id(child)`` is sound: formulas are hash-consed and never freed, and
+    the table keeps every child alive."""
     edges = tuple(sorted(edges, key=lambda e: e[0].key()))
     if not edges:
         raise DiagramError(f"node {si} has no edges")
-    key = (si, out, tuple((label.atoms, id(child)) for label, child in edges))
-    with _intern_lock:
-        node = _intern.get(key)
-        if node is None:
-            node = _intern[key] = Node(si, out, edges)
+    key = (si, out, tuple((id(label), id(child)) for label, child in edges))
+    node = _intern.get(key)
+    if node is None:
+        node = _intern[key] = Node(si, out, edges)
     return node
 
 
@@ -344,13 +342,11 @@ def normalize(d: Osdd, path: ConstraintFormula = TRUE) -> Osdd:
     if d.is_leaf:
         return d
     path = _restrict(path, d)
-    memo_key = (id(d), path.atoms)
+    memo_key = (id(d), id(path))
     cached = _normalize_memo.get(memo_key)
     if cached is not None:
         return cached
-    result = _normalize(d, path)
-    with _intern_lock:
-        _normalize_memo[memo_key] = result
+    result = _normalize_memo[memo_key] = _normalize(d, path)
     return result
 
 
@@ -550,12 +546,10 @@ def make_mdd_node(si, out, edges) -> Mdd:
     if len(set(values)) != len(values):
         raise DiagramError(f"duplicate edge values at {si}")
     sig = (si.sort_key(), tuple((v, id(c)) for v, c in edges))
-    with _intern_lock:
-        got = _mdd_intern.get(sig)
-        if got is not None:
-            return got
-        node = MddNode(si, out, edges)
-        _mdd_intern[sig] = node
+    got = _mdd_intern.get(sig)
+    if got is not None:
+        return got
+    node = _mdd_intern[sig] = MddNode(si, out, edges)
     return node
 
 

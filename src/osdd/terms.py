@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import struct
-import threading
 from dataclasses import dataclass, field
 
 
@@ -42,7 +41,6 @@ class GroundTerm:
 
 # Value tuple -> small int, shared by every TypeDomain over that tuple.
 _values_ids: dict = {}
-_values_ids_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -68,8 +66,7 @@ class TypeDomain:
         if len(value_set) != len(self.values):
             raise ValueError(f"domain {self.name!r} has duplicate values")
         object.__setattr__(self, "_value_set", value_set)
-        with _values_ids_lock:
-            values_id = _values_ids.setdefault(self.values, len(_values_ids))
+        values_id = _values_ids.setdefault(self.values, len(_values_ids))
         object.__setattr__(self, "values_id", values_id)
 
     @property
@@ -88,33 +85,27 @@ def domain_of_symbols(name, symbols) -> TypeDomain:
 
 
 _var_counter = itertools.count(1)
-_var_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
 class Var:
-    """A typed variable; identity is the creation index, never the name."""
+    """A typed variable, equal only to itself and hashed by identity.
+
+    ``uid`` is the creation index; it orders variables, never the name.
+    """
 
     name: str
     domain: TypeDomain
-    uid: int = field(default=0)
+    uid: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.uid == 0:
-            with _var_lock:
-                object.__setattr__(self, "uid", next(_var_counter))
+        object.__setattr__(self, "uid", next(_var_counter))
 
     def sort_key(self):
         return (1, 0, self.uid, "")
 
     def encode(self) -> bytes:
         return b"\x02" + struct.pack(">Q", self.uid)
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and other.uid == self.uid
-
-    def __hash__(self):
-        return hash(self.uid)
 
     def __str__(self):
         return self.name

@@ -1,9 +1,13 @@
 """Shared fixtures and brute-force helpers for the test suite."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import osdd
 from osdd.constraints import ConstraintFormula, TRUE, formula
 from osdd.diagram import (
     ONE,
@@ -18,6 +22,27 @@ from osdd.diagram import (
 from osdd.program import parse_program
 from osdd.programs import BIRTHDAY, PALINDROME, birthday_source
 from osdd.terms import GroundTerm, domain_of_symbols
+
+
+def run_fresh(script, **env_overrides):
+    """Stdout of ``script`` run in a fresh interpreter that imports this
+    checkout of the package; the keyword arguments are set in its
+    environment.  Process-global tables (variable names, the intern and
+    formula tables) then hold nothing from other tests."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(osdd.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    env.update(env_overrides)
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+        check=True,
+    ).stdout
 
 
 @pytest.fixture(scope="session")

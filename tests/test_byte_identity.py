@@ -10,11 +10,9 @@ process-global table, so in-process results would depend on which tests
 ran first (and on which builds ran earlier in the same script).
 """
 
-import os
-import subprocess
-import sys
+import pytest
 
-import osdd
+from conftest import run_fresh
 
 SCRIPT = """
 import hashlib
@@ -156,25 +154,21 @@ SAMPLING_GOLDEN = {
 }
 
 
-def _digests(script):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(osdd.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=600,
-        check=True,
-    ).stdout
+def _digests(script, **env):
+    out = run_fresh(script, **env)
     return dict(line.rsplit(" ", 1) for line in out.splitlines())
 
 
 def test_format_osdd_digests_match_goldens():
     assert _digests(SCRIPT) == GOLDEN
+
+
+@pytest.mark.parametrize("seed", ["0", "4242"])
+def test_format_osdd_digests_do_not_depend_on_the_hash_seed(seed):
+    # Variables hash by identity and strings by the seed, so sets of
+    # atoms iterate in an order that changes from run to run; no diagram
+    # may depend on it.
+    assert _digests(SCRIPT, PYTHONHASHSEED=seed) == GOLDEN
 
 
 def test_palindrome_joint_digests_match_goldens():

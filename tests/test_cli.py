@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from osdd import cli
 from osdd.cli import build_parser, main
 from osdd.diagram_io import parse_osdd
 from osdd.engine import EvalSession
+from osdd.errors import SolverLimitError
 from osdd.programs import BIRTHDAY, PALINDROME, birthday_source
 
 
@@ -383,6 +385,36 @@ class TestReproduce:
             n = int(parts[0])
             prob = float(parts[4])
             assert prob == 0.5 ** (n // 2)
+
+    @staticmethod
+    def _fake_sweep(monkeypatch, failing_size):
+        def measure(n):
+            if n == failing_size:
+                raise SolverLimitError("budget exceeded")
+            return "0.5,0.1,0.25,7", 1.0
+
+        monkeypatch.setattr(
+            cli, "_birthday_sweep",
+            lambda args: ("size,build_s,prob_s,probability,nodes,status", measure),
+        )
+
+    def test_a_failed_size_exits_1_naming_it(self, monkeypatch, capsys, tmp_path):
+        self._fake_sweep(monkeypatch, failing_size=10)
+        out = tmp_path / "b.csv"
+        code, _, err = run_cli(capsys, "reproduce", "birthday", "--out", out)
+        assert code == 1
+        assert "size 10" in err and "budget exceeded" in err
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["6", "8", "10", "12", "14", "16"]
+        assert rows[2] == "10,,,,,error:budget exceeded"
+
+    def test_over_timeout_rows_exit_0(self, monkeypatch, capsys):
+        self._fake_sweep(monkeypatch, failing_size=None)
+        code, out, _ = run_cli(
+            capsys, "reproduce", "birthday", "--timeout-s", 0.5
+        )
+        assert code == 0
+        assert out.count("over-timeout") == 6
 
     def test_exit_code_for_unknown_flag_style_error(self, program_files, capsys):
         code, _, err = run_cli(

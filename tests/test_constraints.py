@@ -221,6 +221,40 @@ class TestCanonicalKey:
         assert sorted(once, key=canonical_key) == once
 
 
+class TestHashConsing:
+    def test_equal_atom_sets_are_one_formula(self):
+        x, y = v3("X"), v3("Y")
+        a, b = eq(x, A), neq(y, x)
+        assert ConstraintFormula([a, b]) is ConstraintFormula((b, a))
+        assert formula(eq(x, y)) is formula(eq(y, x))
+
+    def test_empty_formula_is_true(self):
+        x = v3("X")
+        assert ConstraintFormula() is TRUE
+        assert formula(eq(x, A)).without(eq(x, A)) is TRUE
+
+    def test_conjoin_commutes_to_one_object(self):
+        x, y, z = v3("X"), v3("Y"), v3("Z")
+        f = formula(eq(x, y), neq(z, A))
+        g = formula(neq(y, z), eq(x, B))
+        assert f.conjoin(g) is g.conjoin(f)
+        assert f.conjoin(g).without(eq(x, B)).without(neq(y, z)) is f
+
+    def test_key_and_satisfiability_are_kept_on_the_formula(self):
+        x, y = v3("X"), v3("Y")
+        f = formula(eq(x, y), neq(y, A))
+        assert satisfiable(f) and f.key() == canonical_key(f)
+        g = formula(neq(y, A), eq(x, y))
+        assert g._sat is True and g._key == f.key()
+        assert g._graph is None  # only graph() keeps a closure graph
+
+    def test_variables_are_equal_only_to_themselves(self):
+        x, twin = Var("X", D3), Var("X", D3)
+        assert x == x and x != twin
+        assert len({x, twin}) == 2
+        assert formula(eq(x, A)) is not formula(eq(twin, A))
+
+
 class TestSolutions:
     def test_equality_projection(self):
         x, y = v3("X"), v3("Y")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from osdd.diagram import ZERO, ONE
+from osdd.diagram import ONE, ZERO, internal_nodes
 from osdd.diagram_io import format_osdd, parse_osdd, to_dot
 from osdd.engine import EvalSession
 from osdd.errors import ParseError
@@ -28,6 +28,19 @@ class TestRoundTrip:
         assert parse_osdd(text, _space(toy_birthday_program)) is d
         # idempotent: printing the reparsed diagram reproduces the text
         assert format_osdd(parse_osdd(text, _space(toy_birthday_program))) == text
+
+
+    def test_read_back_labels_are_the_original_formulas(self, palindrome_program):
+        d = EvalSession(palindrome_program).query("evidence(8)")
+        # Rename every variable so the text differs from the printed one.
+        text = format_osdd(d).replace("X", "Renamed")
+        back = parse_osdd(text, _space(palindrome_program))
+
+        def labels(x):
+            return [g for n in internal_nodes(x) for g, _ in n.edges]
+
+        assert len(labels(back)) == len(labels(d)) > 0
+        assert all(a is b for a, b in zip(labels(back), labels(d)))
 
 
 class TestParseErrors:

@@ -1,9 +1,9 @@
 """Constraint-labeled decision diagrams for probabilistic logic programs.
 
 Build a diagram for a ground query with :class:`EvalSession`, compute its
-probability exactly with :func:`exact_probability` (or the measurable
-fast path), or estimate it by likelihood-weighted sampling with
-:func:`estimate`.  :func:`brute_force_probability` is the independent
+probability exactly with :func:`exact_probability` (optionally behind
+the measurability check), or estimate it by likelihood-weighted sampling
+with :func:`estimate`.  :func:`brute_force_probability` is the independent
 possible-worlds oracle used to certify everything else.
 """
 

@@ -2,7 +2,7 @@
 
 Subcommands:
   compile    program + query -> diagram text, DOT, and build stats
-  infer      exact probability (general, measurable fast path, or
+  infer      exact probability (general, measurability-checked, or
              oracle cross-check)
   sample     likelihood-weighted / independent estimation with a
              convergence CSV
@@ -319,9 +319,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OsddError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

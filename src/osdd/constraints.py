@@ -4,7 +4,7 @@ A constraint formula is a set of atoms ``X = T`` / ``X != T`` read as a
 conjunction.  The module provides entailment closure (as a labeled graph
 over equivalence classes), satisfiability, negation into a mutually
 exclusive cover, canonical byte keys, solution projection, and the
-saturation/measure machinery used by the measurable fast path.
+saturation/measure machinery used by the measurability check.
 
 Formulas are hash-consed: :class:`ConstraintFormula` returns one object
 per atom set for the life of the process, so equality is identity and a

@@ -8,11 +8,11 @@ domain and every switch of the diagram treat alike.  Such values give the
 same probability wherever they stand in a grounding, so an edge sums the
 mass of each class once and recurses on one representative, and the
 memo keys on the grounding's class pattern (which positions hold equal
-values of which class), not on the grounding itself.  When every path
-constraint is measurable and all switches are uniform, the per-edge
-solution count is a constant, so each edge adds its measure times the
-uniform probability times its child's probability: the sum reads no
-grounding, and its cost follows the diagram, not the domain.
+values of which class), not on the grounding itself.  The
+``exact-measurable`` mode is a check in front of that same recursion:
+every path-conjoined label saturated, checked node by node, and every
+switch uniform.  There the recursion meets each edge about once, so its
+cost follows the diagram, not the domain's groundings.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from fractions import Fraction
 
 from . import constraints as cf
 from .constraints import TRUE, ConstraintFormula
-from .diagram import Mdd, Osdd, free_vars, internal_nodes, max_free_vars, node_count
+from .diagram import (
+    Mdd, Osdd, _restrict, free_vars, internal_nodes, max_free_vars, node_count,
+)
 from .errors import DiagramError
 from .program import Program, SwitchSpec
 from .terms import GroundTerm, Var
@@ -50,9 +52,8 @@ class DistMap:
         return table[value]
 
     def all_uniform(self, d: Osdd) -> bool:
-        return all(
-            self.spec(n.si.switch).dist.is_uniform for n in internal_nodes(d)
-        )
+        switches = {n.si.switch for n in internal_nodes(d)}
+        return all(self.spec(s).dist.is_uniform for s in switches)
 
 
 def _admitted_values(label: ConstraintFormula, out: Var, env: dict):
@@ -220,10 +221,13 @@ def exact_probability(d: Osdd, dists: DistMap):
 
 @dataclass
 class MeasurabilityReport:
+    """``edge_measures``: one entry per (node, restricted path) edge in DFS
+    order, empty if not measurable.  On chains such as ``same_birthday(n)``
+    and ``evidence(n)`` that is one entry per path."""
+
     measurable: bool
     edge_measures: list = field(default_factory=list)  # (constrained, count)
     offending_node: str | None = None
-    measure_map: dict = field(default_factory=dict)  # (node id, edge idx) -> m
 
     def constrained_measures(self):
         return tuple(m for constrained, m in self.edge_measures if constrained)
@@ -234,12 +238,22 @@ class MeasurabilityReport:
 
 def measurability(d: Osdd) -> MeasurabilityReport:
     """Check each edge's path-conjoined label for saturation and collect
-    the per-edge solution counts of the node's output variable."""
+    the per-edge solution counts of the node's output variable.
+
+    Paths are restricted as ``normalize`` restricts them, and a node is
+    walked once per restricted path: the dropped atoms were checked where
+    they were added, and no label below reaches them."""
     report = MeasurabilityReport(True)
+    walked = set()
 
     def walk(n, path, route):
         if n.is_leaf:
             return True
+        path = _restrict(path, n)
+        key = (id(n), id(path))
+        if key in walked:
+            return True
+        walked.add(key)
         for i, (label, child) in enumerate(n.edges):
             conj = path.conjoin(label)
             m = cf.measure(conj, n.out)
@@ -250,7 +264,6 @@ def measurability(d: Osdd) -> MeasurabilityReport:
                 )
                 return False
             report.edge_measures.append((not label.is_empty(), m))
-            report.measure_map[(id(n), i)] = m
             if not walk(child, conj, route + [i]):
                 return False
         return True
@@ -258,20 +271,14 @@ def measurability(d: Osdd) -> MeasurabilityReport:
     walk(d, TRUE, [])
     if not report.measurable:
         report.edge_measures = []
-        report.measure_map = {}
     return report
 
 
 def exact_probability_measurable(
     d: Osdd, dists: DistMap, report: MeasurabilityReport | None = None
 ):
-    """Fast path: measurable diagram, all switches uniform.
-
-    Each edge adds its measure (the constant number of values it admits)
-    times the uniform probability times its child's probability, so no
-    grounding is kept.  It is a plain recursion without a memo:
-    ``measurability``, which it needs, already walks every path.
-    """
+    """Answer probability of a measurable diagram with uniform switches:
+    both conditions checked, then :func:`exact_probability`."""
     if report is None:
         report = measurability(d)
     if not report.measurable:
@@ -281,26 +288,10 @@ def exact_probability_measurable(
         )
     if not dists.all_uniform(d):
         raise DiagramError(
-            "the measurable fast path requires uniform switch distributions; "
+            "the measurable mode requires uniform switch distributions; "
             "use the general exact computation"
         )
-    one = Fraction(1) if dists.exact else 1.0
-    zero = Fraction(0) if dists.exact else 0.0
-    measures = report.measure_map
-
-    def pi(n):
-        if n.is_leaf:
-            return one if n.value else zero
-        # Uniform: every value of the switch has this probability.
-        p = dists.prob(n.si.switch, n.out.domain.values[0])
-        total = zero
-        for i, (_, child) in enumerate(n.edges):
-            m = measures[(id(n), i)]
-            if m:
-                total += m * p * pi(child)
-        return total
-
-    return pi(d)
+    return exact_probability(d, dists)
 
 
 def mdd_probability(d: Mdd, dists: DistMap):

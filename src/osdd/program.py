@@ -176,7 +176,9 @@ class Distribution:
 
     @property
     def is_uniform(self) -> bool:
-        return len(set(self.weights)) == 1
+        # count() tries identity before ==, and a uniform declaration repeats
+        # one Fraction object; a set would hash every weight.
+        return self.weights.count(self.weights[0]) == len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -441,7 +443,7 @@ def _collect_declaration(program, goal, directive):
 
 def _add_rule(program, head, body):
     goals = [_rewrite_phrase(_strip_module(g)) for g in _conjunction_list(body)]
-    _add_rule_goals(program, head, list(itertools.chain(goals)))
+    _add_rule_goals(program, head, goals)
 
 
 def _add_rule_goals(program, head, goals):

@@ -1,4 +1,4 @@
-"""Exact probability computation: general path, measurability, fast path."""
+"""Exact probability computation: general path, measurability check."""
 
 import random
 import re
@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from osdd import exact
+from osdd import constraints, exact
 from osdd.constraints import TRUE, eq, formula, neq
 from osdd.diagram import (
     ONE,
     ZERO,
     SwitchInstance,
     SwitchRef,
+    _restrict,
     canonical_instance_var,
     combine,
     ground,
@@ -56,8 +57,122 @@ def birthday_diagrams(birthday_program):
     return {n: session.query(f"same_birthday({n})") for n in range(3, 17)}
 
 
+@pytest.fixture(scope="module")
+def palindrome_query_20_5(palindrome_program):
+    """95 nodes and 190 edges, met on 118,216 edge visits by a walk by
+    root-to-leaf paths."""
+    return EvalSession(palindrome_program).query("query(20, 5)")
+
+
+NM_PROGRAM = "values(nm, [a, b, c, d]).\nset_sw(nm, uniform).\n"
+
+
+def non_measurable_diagram(dom4):
+    s = SwitchRef("nm")
+    x = canonical_instance_var(s, GroundTerm(1), dom4)
+    y = canonical_instance_var(s, GroundTerm(2), dom4)
+    z = canonical_instance_var(s, GroundTerm(3), dom4)
+    # The cover below keeps the x/y relation inside the 0-labels, so
+    # the diagram is proper, but the surviving label's neighborhood
+    # {x, y} is unrelated: the count of values open to z is 2 or 3
+    # depending on the grounding above.
+    level3 = make_node(
+        SwitchInstance(s, GroundTerm(3)),
+        z,
+        [
+            (formula(neq(z, x), neq(z, y)), ONE),
+            (formula(eq(z, x), eq(z, y), eq(x, y)), ZERO),
+            (formula(eq(z, x), neq(z, y), neq(x, y)), ZERO),
+            (formula(eq(z, y), neq(z, x), neq(x, y)), ZERO),
+        ],
+    )
+    level2 = make_node(SwitchInstance(s, GroundTerm(2)), y, [(TRUE, level3)])
+    return make_node(SwitchInstance(s, GroundTerm(1)), x, [(TRUE, level2)])
+
+
+def edge_count(d):
+    return sum(len(n.edges) for n in internal_nodes(d))
+
+
 def uniform_switches(source):
     return re.sub(r"set_sw\((\w+), \[[^]]*\]\)", r"set_sw(\1, uniform)", source)
+
+
+def path_walk_reference(d):
+    """The measurability walk of earlier versions: every edge label is
+    conjoined with its whole path and measured once per root-to-leaf path.
+
+    Returns the verdict, the offending node, the set of measures each
+    ``(node id, edge index)`` met over all paths, and the
+    ``(constrained, measure)`` entries of the node visits whose restricted
+    path had not reached that node before, in DFS order.
+    """
+    measures = {}
+    entries = []
+    seen = set()
+    offending = None
+
+    def walk(n, path, route):
+        nonlocal offending
+        if n.is_leaf:
+            return True
+        key = (id(n), id(_restrict(path, n)))
+        fresh = key not in seen
+        seen.add(key)
+        for i, (label, child) in enumerate(n.edges):
+            conj = path.conjoin(label)
+            m = constraints.measure(conj, n.out)
+            if m is None:
+                offending = f"{n.si}@{'.'.join(map(str, route)) or 'root'}"
+                return False
+            measures.setdefault((id(n), i), set()).add(m)
+            if fresh:
+                entries.append((not label.is_empty(), m))
+            if not walk(child, conj, route + [i]):
+                return False
+        return True
+
+    return walk(d, TRUE, []), offending, measures, entries
+
+
+def measure_weighted_reference(d, dists, measures):
+    """The paper's formula, as the fast path of earlier versions computed
+    it: each edge adds its measure times the uniform probability times its
+    child's probability.  ``dists`` is exact."""
+
+    def pi(n):
+        if n.is_leaf:
+            return Fraction(n.value)
+        p = dists.prob(n.si.switch, n.out.domain.values[0])
+        total = Fraction(0)
+        for i, (_, child) in enumerate(n.edges):
+            (m,) = measures[(id(n), i)]
+            if m:
+                total += m * p * pi(child)
+        return total
+
+    return pi(d)
+
+
+def assert_matches_references(d, program):
+    """``measurability`` and ``exact_probability_measurable`` agree with
+    the path walk and the measure-weighted recursion on ``d``."""
+    measurable, offending, measures, entries = path_walk_reference(d)
+    report = measurability(d)
+    assert report.measurable == measurable
+    assert report.offending_node == offending
+    if not measurable:
+        assert report.edge_measures == []
+        return
+    assert all(len(ms) == 1 for ms in measures.values()), measures
+    assert report.edge_measures == entries
+    dm = DistMap(program, exact=True)
+    if not dm.all_uniform(d):
+        with pytest.raises(DiagramError, match="uniform"):
+            exact_probability_measurable(d, dm, report)
+        return
+    expected = measure_weighted_reference(d, dm, measures)
+    assert exact_probability_measurable(d, dm, report) == expected
 
 
 class TestExactProbability:
@@ -105,34 +220,33 @@ class TestMeasurability:
         assert report.all_measures()[0] == 8
 
     def test_non_measurable_diagram_reported(self, dom4):
-        s = SwitchRef("nm")
-        x = canonical_instance_var(s, GroundTerm(1), dom4)
-        y = canonical_instance_var(s, GroundTerm(2), dom4)
-        z = canonical_instance_var(s, GroundTerm(3), dom4)
-        # The cover below keeps the x/y relation inside the 0-labels, so
-        # the diagram is proper, but the surviving label's neighborhood
-        # {x, y} is unrelated: the count of values open to z is 2 or 3
-        # depending on the grounding above.
-        level3 = make_node(
-            SwitchInstance(s, GroundTerm(3)),
-            z,
-            [
-                (formula(neq(z, x), neq(z, y)), ONE),
-                (formula(eq(z, x), eq(z, y), eq(x, y)), ZERO),
-                (formula(eq(z, x), neq(z, y), neq(x, y)), ZERO),
-                (formula(eq(z, y), neq(z, x), neq(x, y)), ZERO),
-            ],
-        )
-        level2 = make_node(SwitchInstance(s, GroundTerm(2)), y, [(TRUE, level3)])
-        d = make_node(SwitchInstance(s, GroundTerm(1)), x, [(TRUE, level2)])
+        d = non_measurable_diagram(dom4)
         assert validate(d) == []
         report = measurability(d)
         assert not report.measurable
         assert "(nm, 3)" in report.offending_node
         with pytest.raises(DiagramError):
-            exact_probability_measurable(d, DistMap(parse_program(
-                "values(nm, [a, b, c, d]).\nset_sw(nm, uniform).\n"
-            ), exact=True), report)
+            exact_probability_measurable(
+                d, DistMap(parse_program(NM_PROGRAM), exact=True), report
+            )
+
+    def test_measures_once_per_edge_not_per_path(
+        self, palindrome_query_20_5, monkeypatch
+    ):
+        calls = []
+        measure = constraints.measure
+
+        def counting(f, x):
+            calls.append(x)
+            return measure(f, x)
+
+        monkeypatch.setattr(constraints, "measure", counting)
+        d = palindrome_query_20_5
+        edges = edge_count(d)
+        report = measurability(d)
+        assert report.measurable
+        # The walk by root-to-leaf paths made 118,216 calls here.
+        assert 0 < len(calls) <= 2 * edges, (len(calls), edges)
 
 
 class TestFastPath:
@@ -182,6 +296,68 @@ class TestFastPath:
             fast = exact_probability_measurable(d, dm, report)
             assert fast == exact_probability(d, dm), f"seed {seed}"
         assert measurable >= 100
+
+    def test_admits_values_at_most_once_per_edge(
+        self,
+        birthday_program,
+        birthday_diagrams,
+        palindrome_program,
+        palindrome_query_20_5,
+        monkeypatch,
+    ):
+        calls = []
+        admitted = exact._admitted_values
+
+        def counting(label, out, env):
+            calls.append(out)
+            return admitted(label, out, env)
+
+        monkeypatch.setattr(exact, "_admitted_values", counting)
+        for program, d in (
+            (birthday_program, birthday_diagrams[16]),
+            (palindrome_program, palindrome_query_20_5),
+        ):
+            for dm in (DistMap(program, exact=True), DistMap(program)):
+                calls.clear()
+                exact_probability_measurable(d, dm)
+                assert 0 < len(calls) <= edge_count(d), (len(calls), edge_count(d))
+
+
+class TestAgainstPathWalkReference:
+    """The walk by nodes gives the path walk's verdicts and measures, and
+    the measurable mode the measure-weighted formula's probabilities."""
+
+    def test_birthday(self, birthday_program, birthday_diagrams, small_birthday):
+        session = EvalSession(birthday_program)
+        assert_matches_references(session.query("same_birthday(2)"), birthday_program)
+        for d in birthday_diagrams.values():
+            assert_matches_references(d, birthday_program)
+        session = EvalSession(small_birthday)
+        for n in (2, 3):
+            assert_matches_references(
+                session.query(f"same_birthday({n})"), small_birthday
+            )
+
+    def test_palindrome_evidence(self, palindrome_program):
+        d = EvalSession(palindrome_program).query("evidence(6)")
+        assert_matches_references(d, palindrome_program)
+
+    def test_leaf_non_measurable_and_non_uniform(self, dom4):
+        assert_matches_references(ZERO, parse_program(NM_PROGRAM))
+        assert_matches_references(
+            non_measurable_diagram(dom4), parse_program(NM_PROGRAM)
+        )
+        p = parse_program(
+            "q :- msw(s, 1, X), msw(s, 2, Y), X = Y.\n"
+            "values(s, [a, b]).\nset_sw(s, [0.25, 0.75]).\n"
+        )
+        assert_matches_references(EvalSession(p).query("q"), p)
+
+    def test_random_uniform_programs(self):
+        for seed in range(200):
+            _, source = random_program(seed)
+            prog = parse_program(uniform_switches(source))
+            assert_matches_references(EvalSession(prog).query("q"), prog)
 
 
 class TestLifted:

@@ -189,6 +189,8 @@ def cmd_reproduce(args) -> int:
         raise UsageError(
             f"unknown experiment {args.experiment!r}; choose birthday or palindrome"
         )
+    if args.repeats < 1:
+        raise UsageError("--repeats must be at least 1")
     header, measure = sweeps[args.experiment](args)
     rows = [header]
     failed = []

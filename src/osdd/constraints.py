@@ -1,10 +1,14 @@
 """Conjunctive equality/disequality constraints over finite domains.
 
 A constraint formula is a set of atoms ``X = T`` / ``X != T`` read as a
-conjunction.  The module provides entailment closure (as a labeled graph
-over equivalence classes), satisfiability, negation into a mutually
-exclusive cover, canonical byte keys, solution projection, and the
-saturation/measure machinery used by the measurability check.
+conjunction.  The module provides entailment closure, satisfiability,
+negation into a mutually exclusive cover, canonical byte keys, solution
+projection, and the saturation/measure machinery used by the
+measurability check.  The closure groups terms into equivalence classes
+and keeps, per class, the set of classes entailed to differ from it:
+satisfiability propagates along these neighbour sets, saturation asks
+whether a variable's neighbours are pairwise neighbours, and a measure is
+a domain size minus a neighbour count.
 
 Formulas are hash-consed: :class:`ConstraintFormula` returns one object
 per atom set for the life of the process, so equality is identity and a
@@ -92,8 +96,7 @@ def neq(lhs: Var, rhs) -> AtomicConstraint:
     return AtomicConstraint(lhs, rhs, NEQ)
 
 
-# Atom set -> its one formula.  Entries are never evicted, so code may
-# key tables on ``id(formula)``.
+# Atom set -> its one formula.
 _formulas: dict = {}
 
 
@@ -200,19 +203,21 @@ class ConstraintGraph:
     """Entailment closure of a formula, over eq-classes of its terms.
 
     ``classes`` partitions the mentioned Vars and GroundTerms; two terms
-    are in one class iff their equality is entailed.  ``neq_pairs`` holds
-    unordered class-index pairs whose disequality is entailed.  A
+    are in one class iff their equality is entailed.  ``neighbors[i]`` is
+    the frozenset of class indices whose disequality with class ``i`` is
+    entailed; the relation is symmetric, never holds a class itself, and
+    makes every two classes pinned to constants neighbours.  A
     contradiction (X != X, or two distinct constants forced equal) is
     recorded rather than raised.
     """
 
-    __slots__ = ("contradiction", "classes", "class_index", "neq_pairs")
+    __slots__ = ("contradiction", "classes", "class_index", "neighbors")
 
-    def __init__(self, contradiction, classes, class_index, neq_pairs):
+    def __init__(self, contradiction, classes, class_index, neighbors):
         self.contradiction = contradiction
         self.classes = classes
         self.class_index = class_index
-        self.neq_pairs = neq_pairs
+        self.neighbors = neighbors
 
     def eq_edges(self):
         """Node-level eq edges: every pair inside a class."""
@@ -222,15 +227,17 @@ class ConstraintGraph:
                 yield (a, b)
 
     def neq_edges(self):
-        """Node-level neq edges; pairs of two constants are never stored."""
-        for pair in self.neq_pairs:
-            i, j = tuple(pair)
-            for a in self.classes[i]:
-                for b in self.classes[j]:
-                    if isinstance(a, GroundTerm) and isinstance(b, GroundTerm):
-                        continue
-                    x, y = (a, b) if term_key(a) <= term_key(b) else (b, a)
-                    yield (x, y)
+        """Node-level neq edges, each pair once; pairs of two constants
+        are left implicit."""
+        for i, adjacent in enumerate(self.neighbors):
+            for j in adjacent:
+                if j < i:
+                    continue
+                for a in self.classes[i]:
+                    for b in self.classes[j]:
+                        if isinstance(a, GroundTerm) and isinstance(b, GroundTerm):
+                            continue
+                        yield (a, b) if term_key(a) <= term_key(b) else (b, a)
 
     def edge_triples(self):
         """Sorted (source, destination, label) triples; eq sorts before neq."""
@@ -250,13 +257,6 @@ class ConstraintGraph:
             atom = _atom_between(x, y, NEQ)
             if atom is not None:
                 out.add(atom)
-        return out
-
-    def neq_neighbor_classes(self, idx) -> set[int]:
-        out = set()
-        for pair in self.neq_pairs:
-            if idx in pair:
-                out.add(next(iter(pair - {idx})))
         return out
 
 
@@ -305,24 +305,27 @@ def close(f: ConstraintFormula) -> ConstraintGraph:
     for cls in classes:
         consts = [t for t in cls if isinstance(t, GroundTerm)]
         if len(consts) > 1:
-            return ConstraintGraph(True, (), {}, frozenset())
+            return ConstraintGraph(True, (), {}, ())
 
-    neq_pairs = set()
+    neighbors = [set() for _ in classes]
     for atom in f.atoms:
         if atom.polarity != NEQ:
             continue
         i, j = class_index[atom.lhs], class_index[atom.rhs]
         if i == j:
-            return ConstraintGraph(True, (), {}, frozenset())
-        neq_pairs.add(frozenset((i, j)))
+            return ConstraintGraph(True, (), {}, ())
+        neighbors[i].add(j)
+        neighbors[j].add(i)
 
     # Classes pinned to distinct constants are pairwise unequal.
-    pinned = [i for i, cls in enumerate(classes)
-              if any(isinstance(t, GroundTerm) for t in cls)]
-    for i, j in itertools.combinations(pinned, 2):
-        neq_pairs.add(frozenset((i, j)))
+    pinned = {i for i, cls in enumerate(classes)
+              if any(isinstance(t, GroundTerm) for t in cls)}
+    for i in pinned:
+        neighbors[i] |= pinned - {i}
 
-    return ConstraintGraph(False, classes, class_index, frozenset(neq_pairs))
+    return ConstraintGraph(
+        False, classes, class_index, tuple(frozenset(n) for n in neighbors)
+    )
 
 
 def canonical_key(f: ConstraintFormula) -> bytes:
@@ -413,11 +416,7 @@ def _satisfiable(f: ConstraintFormula) -> bool:
         return True
 
     residuals = [_residual(cls) for cls in g.classes]
-    neighbors = {i: set() for i in range(len(g.classes))}
-    for pair in g.neq_pairs:
-        i, j = tuple(pair)
-        neighbors[i].add(j)
-        neighbors[j].add(i)
+    neighbors = g.neighbors
 
     # Unit propagation: a singleton class removes its value from every
     # neq-neighbor, possibly creating new singletons.
@@ -546,8 +545,9 @@ def solutions(f: ConstraintFormula, x: Var, partial: ConstraintFormula = TRUE):
 
 
 def is_saturated(f: ConstraintFormula) -> bool:
-    """Saturation: for each Var X, its neq-neighborhood is pairwise
-    connected by some edge (pairs of two constants exempt).
+    """Saturation: for each Var X, the classes of its neq-neighborhood
+    are pairwise neq-neighbors (classes pinned to two constants always
+    are).
 
     A variable that is eq-connected to anything has exactly one solution
     under every grounding, so the neighborhood condition is waived for
@@ -558,20 +558,11 @@ def is_saturated(f: ConstraintFormula) -> bool:
     g = f.graph()
     if g.contradiction:
         raise ValueError("saturation is only defined for satisfiable formulas")
-    for v in f.variables():
-        vi = g.class_index[v]
-        if len(g.classes[vi]) > 1:
+    for cls, zone in zip(g.classes, g.neighbors):
+        if len(cls) > 1 or isinstance(next(iter(cls)), GroundTerm):
             continue  # pinned or aliased: always exactly one solution
-        neighbor_classes = g.neq_neighbor_classes(vi)
-        zone = [t for ci in neighbor_classes for t in g.classes[ci]]
-        for a, b in itertools.combinations(zone, 2):
-            if isinstance(a, GroundTerm) and isinstance(b, GroundTerm):
-                continue
-            ia, ib = g.class_index[a], g.class_index[b]
-            if ia == ib:
-                continue  # eq edge
-            if frozenset((ia, ib)) not in g.neq_pairs:
-                return False
+        if not all(zone <= g.neighbors[j] | {j} for j in zone):
+            return False
     return True
 
 
@@ -579,8 +570,7 @@ def measure(f: ConstraintFormula, x: Var) -> Optional[int]:
     """The constant solution count of x under f, or None if not saturated.
 
     For saturated formulas: 1 when x is eq-connected to anything, else
-    the domain size minus the number of distinct eq-classes among x's
-    neq-neighbors.
+    the domain size minus the number of x's neq-neighbor classes.
     """
     if not satisfiable(f):
         raise ValueError("measure is only defined for satisfiable formulas")
@@ -592,4 +582,4 @@ def measure(f: ConstraintFormula, x: Var) -> Optional[int]:
     xi = g.class_index[x]
     if len(g.classes[xi]) > 1:
         return 1
-    return x.domain.size - len(g.neq_neighbor_classes(xi))
+    return x.domain.size - len(g.neighbors[xi])

@@ -152,14 +152,13 @@ def canonical_instance_var(ref: SwitchRef, instance: GroundTerm, domain) -> Var:
 
 
 def make_node(si: SwitchInstance, out: Var, edges) -> Osdd:
-    """Intern a node; edges are sorted by label key and children must
-    already be interned, so keying the unique table on ``id(label)`` and
-    ``id(child)`` is sound: formulas are hash-consed and never freed, and
-    the table keeps every child alive."""
+    """Intern a node; edges are sorted by label key.  Formulas are
+    hash-consed and children are interned first, and both compare by
+    identity, so the unique table keys on the sorted edges themselves."""
     edges = tuple(sorted(edges, key=lambda e: e[0].key()))
     if not edges:
         raise DiagramError(f"node {si} has no edges")
-    key = (si, out, tuple((id(label), id(child)) for label, child in edges))
+    key = (si, out, edges)
     node = _intern.get(key)
     if node is None:
         node = _intern[key] = Node(si, out, edges)
@@ -172,9 +171,9 @@ def internal_nodes(d: Osdd):
     stack = [d]
     while stack:
         n = stack.pop()
-        if n.is_leaf or id(n) in seen:
+        if n.is_leaf or n in seen:
             continue
-        seen.add(id(n))
+        seen.add(n)
         yield n
         stack.extend(c for _, c in reversed(n.edges))
 
@@ -223,7 +222,7 @@ def _combine(a, b, op, memo):
     if b.is_leaf:
         return _combine(b, a, op, memo)
 
-    key = (frozenset((id(a), id(b))), op)
+    key = (frozenset((a, b)), op)
     got = memo.get(key)
     if got is not None:
         return got
@@ -292,7 +291,7 @@ def apply_constraint(d: Osdd, beta: AtomicConstraint) -> Osdd:
     def walk(n, missing):
         if n.is_leaf:
             return n
-        key = (id(n), missing)
+        key = (n, missing)
         got = memo.get(key)
         if got is not None:
             return got
@@ -342,7 +341,7 @@ def normalize(d: Osdd, path: ConstraintFormula = TRUE) -> Osdd:
     if d.is_leaf:
         return d
     path = _restrict(path, d)
-    memo_key = (id(d), id(path))
+    memo_key = (d, path)
     cached = _normalize_memo.get(memo_key)
     if cached is not None:
         return cached
@@ -545,7 +544,7 @@ def make_mdd_node(si, out, edges) -> Mdd:
     values = [v for v, _ in edges]
     if len(set(values)) != len(values):
         raise DiagramError(f"duplicate edge values at {si}")
-    sig = (si.sort_key(), tuple((v, id(c)) for v, c in edges))
+    sig = (si.sort_key(), edges)
     got = _mdd_intern.get(sig)
     if got is not None:
         return got
@@ -566,7 +565,7 @@ def ground(d: Osdd) -> Mdd:
         restriction = frozenset(
             (v.uid, env[v]) for v in free_vars(n) if v in env
         )
-        key = (id(n), restriction)
+        key = (n, restriction)
         got = memo.get(key)
         if got is not None:
             return got
@@ -612,7 +611,7 @@ def mdd_combine(a: Mdd, b: Mdd, op: str) -> Mdd:
             return a if a.value == 1 else b
         if b.is_leaf:
             return walk(b, a)
-        key = frozenset((id(a), id(b)))
+        key = frozenset((a, b))
         got = memo.get(key)
         if got is not None:
             return got

@@ -209,11 +209,10 @@ def to_dot(d: Osdd) -> str:
     counter = [0]
 
     def node_id(n):
-        key = id(n)
-        if key not in ids:
-            ids[key] = f"n{counter[0]}"
+        if n not in ids:
+            ids[n] = f"n{counter[0]}"
             counter[0] += 1
-        return ids[key]
+        return ids[n]
 
     emitted = set()
 

@@ -307,7 +307,7 @@ class EvalSession:
             raise EvalError(f"call {name}/{arity - 2} has no threaded diagram")
         openmap = {}
         templates = tuple(freeze(a, openmap) for a in base_args)
-        key = ((name, arity), templates, id(o_in.value))
+        key = ((name, arity), templates, o_in.value)
         entry = self.table.get(key)
         if entry is None:
             entry = self._compute(key, (name, arity), templates, o_in.value, depth)

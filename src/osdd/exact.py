@@ -151,10 +151,10 @@ def exact_probability(d: Osdd, dists: DistMap):
     free_order: dict = {}
 
     def free_tuple(n):
-        got = free_order.get(id(n))
+        got = free_order.get(n)
         if got is None:
             got = tuple(sorted(free_vars(n), key=lambda v: v.uid))
-            free_order[id(n)] = got
+            free_order[n] = got
         return got
 
     def pattern(values):
@@ -190,7 +190,7 @@ def exact_probability(d: Osdd, dists: DistMap):
         if n.is_leaf:
             return one if n.value else zero
         values = tuple(env[v] for v in free_tuple(n))
-        key = (id(n), pattern(values) if classes else values)
+        key = (n, pattern(values) if classes else values)
         got = memo.get(key)
         if got is not None:
             return got
@@ -250,7 +250,7 @@ def measurability(d: Osdd) -> MeasurabilityReport:
         if n.is_leaf:
             return True
         path = _restrict(path, n)
-        key = (id(n), id(path))
+        key = (n, path)
         if key in walked:
             return True
         walked.add(key)
@@ -303,13 +303,13 @@ def mdd_probability(d: Mdd, dists: DistMap):
     def walk(n):
         if n.is_leaf:
             return one if n.value else zero
-        got = memo.get(id(n))
+        got = memo.get(n)
         if got is not None:
             return got
         total = zero
         for value, child in n.edges:
             total += dists.prob(n.si.switch, value) * walk(child)
-        memo[id(n)] = total
+        memo[n] = total
         return total
 
     return walk(d)

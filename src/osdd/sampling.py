@@ -233,6 +233,10 @@ def estimate(
     """
     if budget < 1:
         raise EvalError("sample budget must be at least 1")
+    if stride < 1:
+        raise EvalError("CSV stride must be at least 1")
+    if seed < 0:
+        raise EvalError("seed must be non-negative")
     if mode not in ("lw", "independent"):
         raise EvalError(f"unknown sampling mode {mode!r}")
     if isinstance(query, str):

@@ -333,6 +333,26 @@ class TestSample:
         assert summary["rng"] == "philox"
         assert summary["samples"] == 50
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--stride", 0, "CSV stride must be at least 1"),
+            ("--stride", -3, "CSV stride must be at least 1"),
+            ("--seed", -1, "seed must be non-negative"),
+        ],
+    )
+    def test_bad_stride_or_seed_is_a_user_error(
+        self, program_files, capsys, flag, value, message
+    ):
+        code, _, err = run_cli(
+            capsys, "sample",
+            "--program", program_files["toy"],
+            "--query", "same_birthday(2)",
+            "--samples", 5,
+            flag, value,
+        )
+        assert code == 1
+        assert err.strip() == f"error: {message}"
 
     def test_fractional_for_bound_is_a_user_error(self, capsys, tmp_path):
         src = tmp_path / "for.psm"
@@ -407,6 +427,15 @@ class TestReproduce:
         rows = out.read_text().strip().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["6", "8", "10", "12", "14", "16"]
         assert rows[2] == "10,,,,,error:budget exceeded"
+
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_repeats_below_one_is_a_user_error(self, capsys, repeats):
+        code, out, err = run_cli(
+            capsys, "reproduce", "birthday", "--repeats", repeats
+        )
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: --repeats must be at least 1"
 
     def test_over_timeout_rows_exit_0(self, monkeypatch, capsys):
         self._fake_sweep(monkeypatch, failing_size=None)

@@ -26,8 +26,11 @@ from osdd.constraints import (
     solutions,
     substitution,
 )
+from osdd.diagram import _restrict, osdd_and, to_proper
+from osdd.engine import EvalSession
 from osdd.errors import SolverLimitError
-from osdd.terms import GroundTerm, Var, domain_of_symbols
+from osdd.oracle import random_program
+from osdd.terms import GroundTerm, Var, domain_of_symbols, term_key
 
 from conftest import all_assignments, models
 
@@ -447,3 +450,158 @@ def test_measure_agrees_with_counting(case):
             counts.add(len(solutions(f, x, part)))
         if m is not None:
             assert counts == {m}
+
+
+# ---------------------------------------------------------------------------
+# Neighbour sets against the term-pair saturation test of earlier versions
+
+
+def neq_pairs(g):
+    """The unordered class-index pairs that earlier versions stored as
+    ``neq_pairs``, read off ``neighbors``."""
+    return {frozenset((i, j)) for i, adj in enumerate(g.neighbors) for j in adj}
+
+
+def neighbor_classes_by_pairs(pairs, idx):
+    return {next(iter(pair - {idx})) for pair in pairs if idx in pair}
+
+
+def is_saturated_by_term_pairs(f):
+    """Reference: expand each lone variable's neighbour classes into
+    terms and test every term pair against the pair set, exempting pairs
+    of two constants and pairs inside one class."""
+    g = f.graph()
+    pairs = neq_pairs(g)
+    for v in f.variables():
+        vi = g.class_index[v]
+        if len(g.classes[vi]) > 1:
+            continue
+        zone = [t for ci in neighbor_classes_by_pairs(pairs, vi) for t in g.classes[ci]]
+        for a, b in itertools.combinations(zone, 2):
+            if isinstance(a, GroundTerm) and isinstance(b, GroundTerm):
+                continue
+            ia, ib = g.class_index[a], g.class_index[b]
+            if ia == ib:
+                continue
+            if frozenset((ia, ib)) not in pairs:
+                return False
+    return True
+
+
+def measure_by_term_pairs(f, x):
+    if not is_saturated_by_term_pairs(f):
+        return None
+    g = f.graph()
+    if x not in g.class_index:
+        return x.domain.size
+    xi = g.class_index[x]
+    if len(g.classes[xi]) > 1:
+        return 1
+    return x.domain.size - len(neighbor_classes_by_pairs(neq_pairs(g), xi))
+
+
+def assert_neighbors_match_reference(f, extra=()):
+    """``neighbors`` is symmetric and irreflexive, ``neq_edges`` yields
+    each node pair of neighbouring classes once except pairs of two
+    constants, and saturation and measures agree with the reference."""
+    g = f.graph()
+    for i, adj in enumerate(g.neighbors):
+        assert i not in adj
+        assert all(i in g.neighbors[j] for j in adj)
+    edges = list(g.neq_edges())
+    assert all(term_key(a) <= term_key(b) for a, b in edges)
+    expected = {
+        frozenset((a, b))
+        for pair in neq_pairs(g)
+        for i, j in [tuple(pair)]
+        for a in g.classes[i]
+        for b in g.classes[j]
+        if not (isinstance(a, GroundTerm) and isinstance(b, GroundTerm))
+    }
+    assert len(edges) == len(expected)
+    assert {frozenset(e) for e in edges} == expected
+    assert is_saturated(f) == is_saturated_by_term_pairs(f)
+    for x in f.variables() | set(extra):
+        assert measure(f, x) == measure_by_term_pairs(f, x)
+
+
+def node_path_conjunctions(d):
+    """(output variable, restricted path conjoined with the edge label)
+    for every edge of every (node, restricted path) pair of ``d``, the
+    formulas ``measurability`` measures."""
+    out = []
+    walked = set()
+    stack = [(d, TRUE)]
+    while stack:
+        n, path = stack.pop()
+        if n.is_leaf:
+            continue
+        path = _restrict(path, n)
+        if (n, path) in walked:
+            continue
+        walked.add((n, path))
+        for label, child in n.edges:
+            conj = path.conjoin(label)
+            out.append((n.out, conj))
+            stack.append((child, conj))
+    return out
+
+
+class TestNeighborSets:
+    def test_pinned_classes_are_neighbors(self):
+        # No atom relates X and Y; closure alone makes them neighbours.
+        x, y = v3("X"), v3("Y")
+        g = close(formula(eq(x, A), eq(y, B)))
+        assert g.neighbors[g.class_index[x]] == {g.class_index[y]}
+        assert g.neighbors[g.class_index[y]] == {g.class_index[x]}
+        assert {frozenset(e) for e in g.neq_edges()} == {
+            frozenset((x, y)), frozenset((x, B)), frozenset((y, A))
+        }
+
+    def test_saturation_over_pinned_neighbors(self):
+        # X's neighbours are the classes of a and b, which closure makes
+        # neighbours of each other; no pair exemption is needed.
+        x = Var("X", D4)
+        f = formula(neq(x, A), neq(x, B))
+        assert is_saturated(f)
+        assert measure(f, x) == 2
+        assert_neighbors_match_reference(f)
+
+    def test_birthday_chains(self, birthday_program):
+        checked = 0
+        for n in range(2, 17):
+            d = EvalSession(birthday_program).query(f"same_birthday({n})")
+            for out, conj in node_path_conjunctions(d):
+                assert_neighbors_match_reference(conj, extra=(out,))
+                checked += 1
+        assert checked > 100
+
+    def test_palindrome_joints(self, palindrome_program):
+        for n in range(4, 15, 2):
+            s = EvalSession(palindrome_program)
+            joint = to_proper(
+                osdd_and(s.query(f"query({n}, {n // 4})"), s.query(f"evidence({n})"))
+            )
+            for out, conj in node_path_conjunctions(joint):
+                assert_neighbors_match_reference(conj, extra=(out,))
+
+    def test_random_programs(self):
+        for seed in range(200):
+            program, _ = random_program(seed)
+            d = EvalSession(program).query("q")
+            for out, conj in node_path_conjunctions(d):
+                assert_neighbors_match_reference(conj, extra=(out,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        _formula_strategy(),
+        _formula_strategy(n_vars=6, domain=D3),
+        _formula_strategy(n_vars=4, domain=domain_of_symbols("t6", "abcdef")),
+    )
+)
+def test_neighbors_match_term_pair_reference(case):
+    f, _ = case
+    if satisfiable(f):
+        assert_neighbors_match_reference(f)

@@ -408,6 +408,24 @@ def satisfiable(f: ConstraintFormula) -> bool:
     return f._sat
 
 
+def label_satisfiable(f: ConstraintFormula) -> bool:
+    """:func:`satisfiable` for a formula about to label an edge.
+
+    ``make_node`` sorts edges by key, so a satisfiable label gets its key
+    here too, from the same closure: the formula is closed once, not once
+    per question.  As in :func:`satisfiable`, the closure is not kept.
+    """
+    if f._sat is not None or f._graph is not None:
+        return satisfiable(f)
+    f._graph = close(f)
+    try:
+        if satisfiable(f):
+            f.key()
+    finally:
+        f._graph = None
+    return f._sat
+
+
 def _satisfiable(f: ConstraintFormula) -> bool:
     g = f._graph or close(f)
     if g.contradiction:
@@ -508,7 +526,7 @@ def negate(f: ConstraintFormula) -> list[ConstraintFormula]:
     out = []
     for i, atom in enumerate(atoms):
         member = ConstraintFormula(list(atoms[:i]) + [atom.negated()])
-        if satisfiable(member):
+        if label_satisfiable(member):
             out.append(member)
     return out
 

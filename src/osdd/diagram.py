@@ -245,7 +245,7 @@ def _combine(a, b, op, memo):
         for ga, ca in a.edges:
             for gb, cb in b.edges:
                 g = ga.conjoin(gb)
-                if not cf.satisfiable(g):
+                if not cf.label_satisfiable(g):
                     continue
                 edges.append((g, _combine(ca, cb, op, memo)))
         if not edges:
@@ -300,7 +300,7 @@ def apply_constraint(d: Osdd, beta: AtomicConstraint) -> Osdd:
             edges = []
             for g, child in n.edges:
                 g2 = g.conjoin(beta)
-                if cf.satisfiable(g2):
+                if cf.label_satisfiable(g2):
                     edges.append((g2, child))
             for m in members:
                 edges.append((m, ZERO))
@@ -461,11 +461,11 @@ def _insert_constraint(d: Osdd, route, beta: AtomicConstraint) -> Osdd:
             edges = []
             for g, child in n.edges:
                 g2 = g.conjoin(beta)
-                if cf.satisfiable(g2):
+                if cf.label_satisfiable(g2):
                     edges.append((g2, child))
                 for m in members:
                     gm = g.conjoin(m)
-                    if cf.satisfiable(gm):
+                    if cf.label_satisfiable(gm):
                         edges.append((gm, child))
             return make_node(n.si, n.out, edges)
         i = route[depth]

@@ -8,7 +8,10 @@ domain and every switch of the diagram treat alike.  Such values give the
 same probability wherever they stand in a grounding, so an edge sums the
 mass of each class once and recurses on one representative, and the
 memo keys on the grounding's class pattern (which positions hold equal
-values of which class), not on the grounding itself.  The
+values of which class), not on the grounding itself.  An edge counts
+each class's admitted values from what its label excludes and what the
+child's free variables hold, so after one O(domain) class set-up per
+call its work follows its label, not the domain size.  The
 ``exact-measurable`` mode is a check in front of that same recursion:
 every path-conjoined label saturated, checked node by node, and every
 switch uniform.  There the recursion meets each edge about once, so its
@@ -58,7 +61,10 @@ class DistMap:
 
 def _admitted_values(label: ConstraintFormula, out: Var, env: dict):
     """Values of ``out`` satisfying the label under a grounding of all its
-    other variables; returned in domain order."""
+    other variables, kept compact: ``None`` when no value does, else
+    ``(fixed, excluded)``.  A ``fixed`` value is the one admitted value,
+    checked against ``excluded`` and the domain; ``fixed is None`` admits
+    every value of the domain outside ``excluded``."""
     fixed = None
     excluded = set()
     for atom in label.atoms:
@@ -70,17 +76,26 @@ def _admitted_values(label: ConstraintFormula, out: Var, env: dict):
             a = env[atom.lhs]
             b = atom.rhs if isinstance(atom.rhs, GroundTerm) else env[atom.rhs]
             if (a == b) != (atom.polarity == cf.EQ):
-                return ()
+                return None
             continue
         if atom.polarity == cf.EQ:
             if fixed is not None and fixed != other:
-                return ()
+                return None
             fixed = other
         else:
             excluded.add(other)
+    if fixed is not None and (fixed in excluded or fixed not in out.domain):
+        return None
+    return fixed, excluded
+
+
+def _listed(admitted, out: Var) -> tuple:
+    """The values an :func:`_admitted_values` result admits, in domain
+    order."""
+    if admitted is None:
+        return ()
+    fixed, excluded = admitted
     if fixed is not None:
-        if fixed in excluded or fixed not in out.domain:
-            return ()
         return (fixed,)
     return tuple(v for v in out.domain.values if v not in excluded)
 
@@ -92,20 +107,29 @@ def _value_classes(d: Osdd, dists: DistMap) -> dict:
     Two values are interchangeable when neither is a constant in a label
     of ``d`` and, for every (switch, domain) pair of its nodes, both are
     outside the domain or both are inside it with the same probability.
-    Values with no partner are left out.
+    Values with no partner are left out.  Weights are compared as
+    ``(numerator, denominator)`` pairs, and a uniform switch gives every
+    value of its domain the same one.
     """
     nodes = list(internal_nodes(d))
     pairs = {}
     for n in nodes:
         pairs.setdefault((n.si.switch, n.out.domain.values_id), n.out.domain)
+    columns = []
+    for (switch, _), dom in pairs.items():
+        spec = dists.spec(switch)
+        if spec.dist.is_uniform:
+            columns.append(dict.fromkeys(dom.values, 0))
+        else:
+            weight = dict(zip(spec.domain.values, spec.dist.weights))
+            columns.append(
+                {v: (weight[v].numerator, weight[v].denominator) for v in dom.values}
+            )
     groups: dict = {}
     for domain in {dom.values_id: dom for dom in pairs.values()}.values():
-        for value in domain.values:
-            signature = tuple(
-                dists.prob(switch, value) if value in dom else None
-                for (switch, _), dom in pairs.items()
-            )
-            groups.setdefault(signature, set()).add(value)
+        signatures = zip(*[map(col.get, domain.values) for col in columns])
+        for value, signature in zip(domain.values, signatures):
+            groups.setdefault(signature, {})[value] = None
     shared = [members for members in groups.values() if len(members) > 1]
     if not shared:
         return {}
@@ -118,7 +142,7 @@ def _value_classes(d: Osdd, dists: DistMap) -> dict:
     }
     classes = {}
     for number, members in enumerate(shared):
-        members = members - constants
+        members = members.keys() - constants
         if len(members) > 1:
             classes.update(dict.fromkeys(members, number))
     return classes
@@ -131,13 +155,16 @@ def exact_probability(d: Osdd, dists: DistMap):
     to the free variables of ``n``: constants and values without a
     partner stand for themselves, and a value of a class of
     interchangeable values (see :func:`_value_classes`) stands as its
-    class and the first position it takes.  At an internal edge, the
-    admitted values of one class that no free variable of the child holds
-    give one recursion on a representative, weighted by their summed
-    probability; every other admitted value recurses alone.  A diagram
-    with no such class keeps plain value tuples as keys and the per-value
-    loop.  Rational results are the same ``Fraction``s either way; float
-    results may differ in the last bits from a per-value sum.
+    class and the first position it takes.  At an edge, the admitted
+    values of one class that no free variable of the child holds give one
+    recursion on a representative, weighted by their summed probability;
+    every other admitted value recurses alone.  Those sums are counted
+    from the label's excluded and taken values, never listed, so after
+    one O(domain) class set-up per call an edge costs O(|excluded| +
+    |taken| + classes) plus its lone values, whatever the domain size.  A
+    diagram with no such class keeps plain value tuples as keys and the
+    per-value loop.  Rational results are the same ``Fraction``s either
+    way; float results may differ in the last bits from a per-value sum.
     """
     if free_vars(d):
         raise DiagramError(
@@ -149,6 +176,7 @@ def exact_probability(d: Osdd, dists: DistMap):
     classes = _value_classes(d, dists)
     memo = {}
     free_order: dict = {}
+    layouts: dict = {}
 
     def free_tuple(n):
         got = free_order.get(n)
@@ -165,24 +193,58 @@ def exact_probability(d: Osdd, dists: DistMap):
             for c in (classes.get(value),)
         )
 
-    def lifted(n, child, admitted, env):
-        """(value, probability mass) pairs, one recursion each."""
+    def layout(domain):
+        """Each value's position, the values in no class, and each class's
+        members, all in domain order."""
+        got = layouts.get(domain.values_id)
+        if got is None:
+            alone = []
+            members: dict = {}
+            for value in domain.values:
+                c = classes.get(value)
+                if c is None:
+                    alone.append(value)
+                else:
+                    members.setdefault(c, []).append(value)
+            position = {value: i for i, value in enumerate(domain.values)}
+            got = layouts[domain.values_id] = (position, alone, members)
+        return got
+
+    def lifted(n, admitted, taken):
+        """(value, probability mass) pairs, one recursion each: the values
+        that recurse alone in domain order, then one representative per
+        class in the order of its first admitted value."""
         switch = n.si.switch
-        taken = {env[v] for v in free_tuple(child) if v != n.out}
-        pairs = []
-        reps = {}  # class -> [representative, count]
-        for value in admitted:
+        fixed, excluded = admitted
+        if fixed is not None:
+            return [(fixed, dists.prob(switch, fixed))]
+        position, alone, members = layout(n.out.domain)
+        blocked = excluded | taken
+        single = [value for value in alone if value not in excluded]
+        shared_taken = [
+            value for value in taken
+            if value in classes and value in position and value not in excluded
+        ]
+        if shared_taken:
+            single = sorted(single + shared_taken, key=position.__getitem__)
+        pairs = [(value, dists.prob(switch, value)) for value in single]
+        hits: dict = {}
+        for value in blocked:
             c = classes.get(value)
-            if c is None or value in taken:
-                pairs.append((value, dists.prob(switch, value)))
-            elif c in reps:
-                reps[c][1] += 1
-            else:
-                reps[c] = [value, 1]
+            if c is not None:
+                hits[c] = hits.get(c, 0) + 1
+        reps = []
+        for c, values in members.items():
+            count = len(values) - hits.get(c, 0)
+            if count:
+                i = 0
+                while values[i] in blocked:
+                    i += 1
+                reps.append((position[values[i]], values[i], count))
+        reps.sort()
         # A class's values share one probability under every switch.
         pairs.extend(
-            (value, count * dists.prob(switch, value))
-            for value, count in reps.values()
+            (value, count * dists.prob(switch, value)) for _, value, count in reps
         )
         return pairs
 
@@ -199,19 +261,25 @@ def exact_probability(d: Osdd, dists: DistMap):
             if child.is_leaf and child.value == 0:
                 continue
             admitted = _admitted_values(label, n.out, env)
-            if child.is_leaf:
-                for value in admitted:
-                    total += dists.prob(n.si.switch, value)
+            if admitted is None:
                 continue
-            if classes:
-                for value, p in lifted(n, child, admitted, env):
-                    env[n.out] = value
-                    total += p * pi(child, env)
+            if not classes:
+                pairs = [
+                    (value, dists.prob(n.si.switch, value))
+                    for value in _listed(admitted, n.out)
+                ]
+            elif child.is_leaf:
+                pairs = lifted(n, admitted, frozenset())
             else:
-                for value in admitted:
-                    p = dists.prob(n.si.switch, value)
-                    env[n.out] = value
-                    total += p * pi(child, env)
+                taken = {env[v] for v in free_tuple(child) if v != n.out}
+                pairs = lifted(n, admitted, taken)
+            if child.is_leaf:
+                for _, p in pairs:
+                    total += p
+                continue
+            for value, p in pairs:
+                env[n.out] = value
+                total += p * pi(child, env)
             env.pop(n.out, None)
         memo[key] = total
         return total

@@ -29,7 +29,7 @@ import numpy as np
 from .diagram import Osdd, free_vars
 from .engine import EvalSession
 from .errors import EvalError
-from .exact import DistMap, _admitted_values
+from .exact import DistMap, _admitted_values, _listed
 from .program import Program
 from .prolog import read_term
 
@@ -75,7 +75,7 @@ def _select_edge(node, env: dict, dists: DistMap, rng):
     excluded = set()
     for label, child in node.edges:
         if child.is_leaf and child.value == 0:
-            excluded.update(_admitted_values(label, node.out, env))
+            excluded.update(_listed(_admitted_values(label, node.out, env), node.out))
     factor = 1.0
     if excluded:
         surviving = [v for v in spec.domain.values if v not in excluded]

@@ -16,9 +16,11 @@ from osdd.diagram import (
     _restrict,
     canonical_instance_var,
     combine,
+    free_vars,
     ground,
     internal_nodes,
     make_node,
+    osdd_and,
     to_proper,
     validate,
 )
@@ -173,6 +175,177 @@ def assert_matches_references(d, program):
         return
     expected = measure_weighted_reference(d, dm, measures)
     assert exact_probability_measurable(d, dm, report) == expected
+
+
+LIFTED_SOURCES = [
+    # A label constant inside a uniform domain: 3 is not
+    # interchangeable with 1, 2, 4 and 5.
+    (
+        "q :- msw(s, 1, X), msw(s, 2, Y), X \\= Y, Y \\= 3.\n"
+        "set_sw(s, uniform(1, 5)).\n",
+        Fraction(16, 25),
+    ),
+    # Two switches over the same values whose equal-weight values
+    # differ: s1 pairs b with c, s2 pairs a with b.
+    (
+        "q :- msw(s1, 1, X), msw(s2, 1, Y), X = Y.\n"
+        "values(s1, [a, b, c]).\nset_sw(s1, [0.5, 0.25, 0.25]).\n"
+        "values(s2, [a, b, c]).\nset_sw(s2, [0.25, 0.25, 0.5]).\n",
+        Fraction(5, 16),
+    ),
+    # Partially equal weights: a and b are interchangeable, c is not.
+    (
+        "q :- msw(s, 1, X), msw(s, 2, Y), msw(s, 3, Z), "
+        "X \\= Y, Y \\= Z.\n"
+        "values(s, [a, b, c]).\nset_sw(s, [0.25, 0.25, 0.5]).\n",
+        Fraction(13, 32),
+    ),
+]
+
+HAND_BUILT_PROGRAM = (
+    "values(nm, [a, b, c, d]).\nset_sw(nm, uniform).\n"
+    "p :- msw(nm, 1, X), msw(nm, 2, Y), X \\= Y, Y \\= c.\n"
+    "q :- msw(nm, 1, X), msw(nm, 2, Y), msw(nm, 3, Z), Z \\= X, Z \\= Y.\n"
+)
+
+
+def hand_built_diagrams(dom4):
+    """Proper diagrams for ``HAND_BUILT_PROGRAM``'s queries whose upper
+    edges admit every value: one names a constant below, one compares two
+    variables below.  Returns ``(diagram, query)`` pairs."""
+    s = SwitchRef("nm")
+    x, y, z = (canonical_instance_var(s, GroundTerm(i), dom4) for i in (1, 2, 3))
+    c = GroundTerm("c")
+
+    def node(i, out, edges):
+        return make_node(SwitchInstance(s, GroundTerm(i)), out, edges)
+
+    names_constant = node(1, x, [(TRUE, node(2, y, [
+        (formula(neq(y, x), neq(y, c)), ONE),
+        (formula(eq(y, x)), ZERO),
+        (formula(eq(y, c), neq(y, x), neq(x, c)), ZERO),
+    ]))])
+    compares_two = node(1, x, [(TRUE, node(2, y, [(TRUE, node(3, z, [
+        (formula(neq(z, x), neq(z, y)), ONE),
+        (formula(eq(z, x), eq(z, y), eq(x, y)), ZERO),
+        (formula(eq(z, x), neq(z, y), neq(x, y)), ZERO),
+        (formula(eq(z, y), neq(z, x), neq(x, y)), ZERO),
+    ]))]))])
+    return [(names_constant, "p"), (compares_two, "q")]
+
+
+def value_classes_reference(d, dists):
+    """The class map of earlier versions, keyed on each value's tuple of
+    probabilities, one per (switch, domain) pair of ``d``."""
+    nodes = list(internal_nodes(d))
+    pairs = {}
+    for n in nodes:
+        pairs.setdefault((n.si.switch, n.out.domain.values_id), n.out.domain)
+    groups = {}
+    for domain in {dom.values_id: dom for dom in pairs.values()}.values():
+        for value in domain.values:
+            signature = tuple(
+                dists.prob(switch, value) if value in dom else None
+                for (switch, _), dom in pairs.items()
+            )
+            groups.setdefault(signature, set()).add(value)
+    shared = [members for members in groups.values() if len(members) > 1]
+    constants = {
+        atom.rhs
+        for n in nodes
+        for label, _ in n.edges
+        for atom in label.atoms
+        if isinstance(atom.rhs, GroundTerm)
+    }
+    classes = {}
+    for number, members in enumerate(shared):
+        members = members - constants
+        if len(members) > 1:
+            classes.update(dict.fromkeys(members, number))
+    return classes
+
+
+def lifted_reference(d, dists):
+    """The lifted recursion of earlier versions: every admitted value of
+    an edge is listed, and a class's values are counted one by one."""
+    one = Fraction(1) if dists.exact else 1.0
+    zero = Fraction(0) if dists.exact else 0.0
+    classes = value_classes_reference(d, dists)
+    memo = {}
+
+    def free_tuple(n):
+        return tuple(sorted(free_vars(n), key=lambda v: v.uid))
+
+    def pattern(values):
+        first = {}
+        return tuple(
+            value if c is None else (c, first.setdefault(value, i))
+            for i, value in enumerate(values)
+            for c in (classes.get(value),)
+        )
+
+    def lifted(n, child, admitted, env):
+        switch = n.si.switch
+        taken = {env[v] for v in free_tuple(child) if v != n.out}
+        pairs = []
+        reps = {}
+        for value in admitted:
+            c = classes.get(value)
+            if c is None or value in taken:
+                pairs.append((value, dists.prob(switch, value)))
+            elif c in reps:
+                reps[c][1] += 1
+            else:
+                reps[c] = [value, 1]
+        pairs.extend(
+            (value, count * dists.prob(switch, value))
+            for value, count in reps.values()
+        )
+        return pairs
+
+    def pi(n, env):
+        if n.is_leaf:
+            return one if n.value else zero
+        values = tuple(env[v] for v in free_tuple(n))
+        key = (n, pattern(values) if classes else values)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        total = zero
+        for label, child in n.edges:
+            if child.is_leaf and child.value == 0:
+                continue
+            admitted = exact._listed(
+                exact._admitted_values(label, n.out, env), n.out
+            )
+            if child.is_leaf:
+                for value in admitted:
+                    total += dists.prob(n.si.switch, value)
+                continue
+            if classes:
+                pairs = lifted(n, child, admitted, env)
+            else:
+                pairs = [(v, dists.prob(n.si.switch, v)) for v in admitted]
+            for value, p in pairs:
+                env[n.out] = value
+                total += p * pi(child, env)
+            env.pop(n.out, None)
+        memo[key] = total
+        return total
+
+    return pi(d, {})
+
+
+def assert_matches_lifted_reference(d, program):
+    """Counted classes and sums give the listing recursion's class maps
+    and ``Fraction``s, and its floats up to rounding."""
+    rational, floats = DistMap(program, exact=True), DistMap(program)
+    for dm in (rational, floats):
+        assert exact._value_classes(d, dm) == value_classes_reference(d, dm)
+    assert exact_probability(d, rational) == lifted_reference(d, rational)
+    assert exact_probability(d, floats) == pytest.approx(
+        lifted_reference(d, floats), rel=1e-12
+    )
 
 
 class TestExactProbability:
@@ -394,33 +567,7 @@ class TestLifted:
             # per-grounding recursion made 266,451 calls at n = 3.
             assert 0 < len(calls) <= 2 * edges, (n, len(calls), edges)
 
-    @pytest.mark.parametrize(
-        "source, expected",
-        [
-            # A label constant inside a uniform domain: 3 is not
-            # interchangeable with 1, 2, 4 and 5.
-            (
-                "q :- msw(s, 1, X), msw(s, 2, Y), X \\= Y, Y \\= 3.\n"
-                "set_sw(s, uniform(1, 5)).\n",
-                Fraction(16, 25),
-            ),
-            # Two switches over the same values whose equal-weight values
-            # differ: s1 pairs b with c, s2 pairs a with b.
-            (
-                "q :- msw(s1, 1, X), msw(s2, 1, Y), X = Y.\n"
-                "values(s1, [a, b, c]).\nset_sw(s1, [0.5, 0.25, 0.25]).\n"
-                "values(s2, [a, b, c]).\nset_sw(s2, [0.25, 0.25, 0.5]).\n",
-                Fraction(5, 16),
-            ),
-            # Partially equal weights: a and b are interchangeable, c is not.
-            (
-                "q :- msw(s, 1, X), msw(s, 2, Y), msw(s, 3, Z), "
-                "X \\= Y, Y \\= Z.\n"
-                "values(s, [a, b, c]).\nset_sw(s, [0.25, 0.25, 0.5]).\n",
-                Fraction(13, 32),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("source, expected", LIFTED_SOURCES)
     def test_classes_respect_constants_and_every_switch(self, source, expected):
         prog = parse_program(source)
         d = EvalSession(prog).query("q")
@@ -434,34 +581,32 @@ class TestLifted:
         """Proper diagrams whose upper edges do not split on the constant,
         or on the equality, that a lower label names: only the classes
         keep those values apart."""
-        s = SwitchRef("nm")
-        x, y, z = (canonical_instance_var(s, GroundTerm(i), dom4) for i in (1, 2, 3))
-        c = GroundTerm("c")
-
-        def node(i, out, edges):
-            return make_node(SwitchInstance(s, GroundTerm(i)), out, edges)
-
-        names_constant = node(1, x, [(TRUE, node(2, y, [
-            (formula(neq(y, x), neq(y, c)), ONE),
-            (formula(eq(y, x)), ZERO),
-            (formula(eq(y, c), neq(y, x), neq(x, c)), ZERO),
-        ]))])
-        compares_two = node(1, x, [(TRUE, node(2, y, [(TRUE, node(3, z, [
-            (formula(neq(z, x), neq(z, y)), ONE),
-            (formula(eq(z, x), eq(z, y), eq(x, y)), ZERO),
-            (formula(eq(z, x), neq(z, y), neq(x, y)), ZERO),
-            (formula(eq(z, y), neq(z, x), neq(x, y)), ZERO),
-        ]))]))])
-        prog = parse_program(
-            "values(nm, [a, b, c, d]).\nset_sw(nm, uniform).\n"
-            "p :- msw(nm, 1, X), msw(nm, 2, Y), X \\= Y, Y \\= c.\n"
-            "q :- msw(nm, 1, X), msw(nm, 2, Y), msw(nm, 3, Z), Z \\= X, Z \\= Y.\n"
-        )
-        for d, query in ((names_constant, "p"), (compares_two, "q")):
+        prog = parse_program(HAND_BUILT_PROGRAM)
+        for d, query in hand_built_diagrams(dom4):
             assert validate(d) == []
             expected = brute_force_probability(prog, query)
             assert expected == Fraction(9, 16)
             assert exact_probability(d, DistMap(prog, exact=True)) == expected, query
+
+    def test_probability_lookups_do_not_depend_on_the_domain(self, monkeypatch):
+        calls = []
+        prob = DistMap.prob
+
+        def counting(self, ref, value):
+            calls.append(value)
+            return prob(self, ref, value)
+
+        monkeypatch.setattr(DistMap, "prob", counting)
+        counts = []
+        for days in (365, 36_500):
+            program = parse_program(birthday_source(days))
+            d = EvalSession(program).query("same_birthday(10)")
+            calls.clear()
+            exact_probability(d, DistMap(program, exact=True))
+            counts.append(len(calls))
+            assert 0 < len(calls) <= 2 * edge_count(d), (days, len(calls))
+        # Listing each edge's admitted values made 419 and 36,554 lookups.
+        assert counts[0] == counts[1], counts
 
     def test_random_uniform_programs_match_the_oracle(self):
         for seed in range(60):
@@ -470,6 +615,43 @@ class TestLifted:
             d = EvalSession(prog).query("q")
             engine = exact_probability(d, DistMap(prog, exact=True))
             assert engine == brute_force_probability(prog, "q"), f"seed {seed}"
+
+
+class TestAgainstListingReference:
+    """Counting each edge's admitted values gives the listing recursion's
+    class maps and ``Fraction``s, and its floats up to rounding."""
+
+    @pytest.mark.parametrize("days", [5, 365, 3650])
+    def test_birthday(self, days):
+        program = parse_program(birthday_source(days))
+        session = EvalSession(program)
+        for n in range(2, 17):
+            d = session.query(f"same_birthday({n})")
+            assert_matches_lifted_reference(d, program)
+
+    def test_palindrome_joints(self, palindrome_program):
+        session = EvalSession(palindrome_program)
+        for n in range(4, 13):
+            joint = to_proper(osdd_and(
+                session.query(f"query({n}, {n // 4})"),
+                session.query(f"evidence({n})"),
+            ))
+            assert_matches_lifted_reference(joint, palindrome_program)
+
+    def test_lifted_programs(self, dom4):
+        for source, _ in LIFTED_SOURCES:
+            prog = parse_program(source)
+            assert_matches_lifted_reference(EvalSession(prog).query("q"), prog)
+        prog = parse_program(HAND_BUILT_PROGRAM)
+        for d, _ in hand_built_diagrams(dom4):
+            assert_matches_lifted_reference(d, prog)
+
+    def test_random_programs(self):
+        for seed in range(200):
+            _, source = random_program(seed)
+            for text in (source, uniform_switches(source)):
+                prog = parse_program(text)
+                assert_matches_lifted_reference(EvalSession(prog).query("q"), prog)
 
 
 class TestAgainstIndependentOracles:

@@ -8,13 +8,15 @@ Subcommands:
              convergence CSV
   reproduce  the desk-scale experiment sweeps as table files
 
-Exit codes: 0 success, 1 user error, 2 internal invariant violation.
+Exit codes: 0 success, 1 user error or stdout closed by its reader, 2
+internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -320,7 +322,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (say, `| head`).  Point stdout at
+        # devnull so the interpreter's flush at exit fails no second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except OsddError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

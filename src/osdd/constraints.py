@@ -152,7 +152,15 @@ class ConstraintFormula:
 
     def key(self) -> bytes:
         if self._key is None:
-            self._key = canonical_key(self)
+            if self._graph is None and self._sat is None:
+                # Keyed labels are sat-checked next: label_satisfiable
+                # answers both from one closure, keying a satisfiable one.
+                try:
+                    label_satisfiable(self)
+                except SolverLimitError:
+                    pass  # satisfiable() raises it when asked
+            if self._key is None:
+                self._key = canonical_key(self)
         return self._key
 
     def __iter__(self):
@@ -562,7 +570,9 @@ def solutions(f: ConstraintFormula, x: Var, partial: ConstraintFormula = TRUE):
     }
 
 
-def is_saturated(f: ConstraintFormula) -> bool:
+def is_saturated(
+    f: ConstraintFormula, added: Optional[ConstraintFormula] = None
+) -> bool:
     """Saturation: for each Var X, the classes of its neq-neighborhood
     are pairwise neq-neighbors (classes pinned to two constants always
     are).
@@ -572,27 +582,45 @@ def is_saturated(f: ConstraintFormula) -> bool:
     it; without the waiver the condition would reject formulas such as
     {Z = c, X != Z, Y != Z} whose solution counts are nevertheless
     constant.
+
+    A lone variable's class is a neighbour only through the disequality
+    atoms it is an endpoint of, so the test runs over the neq atoms of
+    ``added`` (by default all of ``f``): for an atom between classes A
+    and B, each endpoint class that is a lone variable must have its
+    neighbours among the other's, ``nb[A] <= nb[B] | {B}``.  When ``f`` is
+    a saturated formula conjoined with ``added``, only ``added``'s atoms
+    need the test: closing more atoms merges classes and adds neighbours,
+    so an old neighbourhood stays pairwise adjacent, and a lone class
+    gains a neighbour only through an atom of ``added``.
     """
     g = f.graph()
     if g.contradiction:
         raise ValueError("saturation is only defined for satisfiable formulas")
-    for cls, zone in zip(g.classes, g.neighbors):
-        if len(cls) > 1 or isinstance(next(iter(cls)), GroundTerm):
-            continue  # pinned or aliased: always exactly one solution
-        if not all(zone <= g.neighbors[j] | {j} for j in zone):
+    classes, index, nb = g.classes, g.class_index, g.neighbors
+    for atom in (f if added is None else added).atoms:
+        if atom.polarity != NEQ:
+            continue
+        a, b = index[atom.lhs], index[atom.rhs]
+        if len(classes[a]) == 1 and not nb[a] <= nb[b] | {b}:
+            return False
+        if (isinstance(atom.rhs, Var) and len(classes[b]) == 1
+                and not nb[b] <= nb[a] | {a}):
             return False
     return True
 
 
-def measure(f: ConstraintFormula, x: Var) -> Optional[int]:
+def measure(
+    f: ConstraintFormula, x: Var, added: Optional[ConstraintFormula] = None
+) -> Optional[int]:
     """The constant solution count of x under f, or None if not saturated.
 
     For saturated formulas: 1 when x is eq-connected to anything, else
     the domain size minus the number of x's neq-neighbor classes.
+    ``added`` is passed to :func:`is_saturated`.
     """
     if not satisfiable(f):
         raise ValueError("measure is only defined for satisfiable formulas")
-    if not is_saturated(f):
+    if not is_saturated(f, added=added):
         return None
     g = f.graph()
     if x not in g.class_index:

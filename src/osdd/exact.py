@@ -8,14 +8,19 @@ domain and every switch of the diagram treat alike.  Such values give the
 same probability wherever they stand in a grounding, so an edge sums the
 mass of each class once and recurses on one representative, and the
 memo keys on the grounding's class pattern (which positions hold equal
-values of which class), not on the grounding itself.  An edge counts
-each class's admitted values from what its label excludes and what the
-child's free variables hold, so after one O(domain) class set-up per
-call its work follows its label, not the domain size.  The
-``exact-measurable`` mode is a check in front of that same recursion:
-every path-conjoined label saturated, checked node by node, and every
-switch uniform.  There the recursion meets each edge about once, so its
-cost follows the diagram, not the domain's groundings.
+values of which class), not on the grounding itself.  The classes are
+read off each switch's weight groups and each domain's value positions,
+both kept on the program objects, and an edge counts each class's
+admitted values from what its label excludes and what the child's free
+variables hold.  So when the diagram's nodes share one (switch, domain)
+pair whose switch is over that domain, as in ``same_birthday``, a call's
+work follows the labels and the weight groups, not the domain size;
+other diagrams still pass over single values when the classes are set
+up.  The ``exact-measurable`` mode is a check in front of that same
+recursion: every path-conjoined label saturated, checked node by node
+and per disequality the label adds, and every switch uniform.  There the
+recursion meets each edge about once, so its cost follows the diagram,
+not the domain's groundings.
 """
 
 from __future__ import annotations
@@ -46,13 +51,13 @@ class DistMap:
         return self.program.switch_spec(ref)
 
     def prob(self, ref, value: GroundTerm):
-        table = self._prob_cache.get(ref)
-        if table is None:
+        got = self._prob_cache.get(ref)
+        if got is None:
             spec = self.spec(ref)
             weights = spec.dist.weights if self.exact else spec.dist.float_weights
-            table = dict(zip(spec.domain.values, weights))
-            self._prob_cache[ref] = table
-        return table[value]
+            got = self._prob_cache[ref] = (weights, spec.domain.positions)
+        weights, positions = got
+        return weights[positions[value]]
 
     def all_uniform(self, d: Osdd) -> bool:
         switches = {n.si.switch for n in internal_nodes(d)}
@@ -100,39 +105,108 @@ def _listed(admitted, out: Var) -> tuple:
     return tuple(v for v in out.domain.values if v not in excluded)
 
 
-def _value_classes(d: Osdd, dists: DistMap) -> dict:
-    """Class number of each value that is interchangeable in ``d`` with
-    another value.
+class _ValueClasses:
+    """The classes of interchangeable values of a diagram, read off its
+    switches' weight groups (``Distribution.groups``) and its domains'
+    ``positions``.  Single values are looked at only where the diagram
+    has more than one (switch, domain) pair or its switch is over another
+    domain (see :meth:`_blocks`), and for weight groups of one value,
+    which are listed as lone values.
+
+    A value's signature holds, for each (switch, domain) pair of the
+    diagram's nodes, the value's weight group in that switch, or ``None``
+    when the domain lacks it.  A class is the values of one signature that
+    no label names, when there are two or more.  ``of(value)`` is a
+    value's class (its signature) or ``None``; ``layouts[values_id]`` holds
+    a domain's values that are in no class, in domain order, and one
+    ``(class, size, positions)`` triple per class in the domain, where
+    ``positions`` lists its members and maybe label constants in domain
+    order.
+    """
+
+    __slots__ = ("constants", "layouts", "_pairs", "_sizes")
+
+    def __init__(self, pairs, constants):
+        self.constants = constants
+        self._pairs = pairs
+        self._sizes = {}
+        domains = {dom.values_id: dom for dom, _ in pairs}
+        blocks = {values_id: self._blocks(dom) for values_id, dom in domains.items()}
+        for domain_blocks in blocks.values():
+            for key, group in domain_blocks:
+                self._sizes[key] = len(group)
+        for value in constants:
+            key = self._signature(value)
+            if key in self._sizes:
+                self._sizes[key] -= 1
+        self.layouts = {}
+        for values_id, domain_blocks in blocks.items():
+            domain = domains[values_id]
+            members = []
+            alone = [domain.positions[c] for c in constants if c in domain]
+            for key, group in domain_blocks:
+                size = self._sizes[key]
+                if size > 1:
+                    members.append((key, size, group))
+                elif size:
+                    alone.extend(i for i in group if domain.values[i] not in constants)
+            alone.sort()
+            self.layouts[values_id] = ([domain.values[i] for i in alone], members)
+        self._sizes = {k: size for k, size in self._sizes.items() if size > 1}
+
+    def _component(self, i, value):
+        dom, spec = self._pairs[i]
+        if value not in dom:
+            return None
+        return spec.dist.group_of[spec.domain.positions[value]]
+
+    def _signature(self, value):
+        return tuple(self._component(i, value) for i in range(len(self._pairs)))
+
+    def _blocks(self, domain):
+        """``(signature, positions)`` for each signature of ``domain``'s
+        values.  The first pair over this domain whose switch is over it
+        too splits the whole domain into its weight groups; every other
+        pair splits the blocks value by value."""
+        values = domain.values
+        blocks = [({}, range(len(values)))]
+        for i, (dom, spec) in enumerate(self._pairs):
+            if not blocks[0][0] and (
+                dom.values_id == spec.domain.values_id == domain.values_id
+            ):
+                blocks = [({i: g}, group) for g, group in enumerate(spec.dist.groups)]
+                continue
+            split = []
+            for sig, group in blocks:
+                parts: dict = {}
+                for p in group:
+                    parts.setdefault(self._component(i, values[p]), []).append(p)
+                split.extend(({**sig, i: c}, ps) for c, ps in parts.items())
+            blocks = split
+        n = len(self._pairs)
+        return [(tuple(sig.get(i) for i in range(n)), group) for sig, group in blocks]
+
+    def of(self, value):
+        if value in self.constants:
+            return None
+        key = self._signature(value)
+        return key if key in self._sizes else None
+
+
+def _value_classes(d: Osdd, dists: DistMap):
+    """The classes of values that are interchangeable in ``d`` (a
+    :class:`_ValueClasses`), or ``None`` when there is none.
 
     Two values are interchangeable when neither is a constant in a label
     of ``d`` and, for every (switch, domain) pair of its nodes, both are
     outside the domain or both are inside it with the same probability.
-    Values with no partner are left out.  Weights are compared as
-    ``(numerator, denominator)`` pairs, and a uniform switch gives every
-    value of its domain the same one.
     """
     nodes = list(internal_nodes(d))
     pairs = {}
     for n in nodes:
-        pairs.setdefault((n.si.switch, n.out.domain.values_id), n.out.domain)
-    columns = []
-    for (switch, _), dom in pairs.items():
-        spec = dists.spec(switch)
-        if spec.dist.is_uniform:
-            columns.append(dict.fromkeys(dom.values, 0))
-        else:
-            weight = dict(zip(spec.domain.values, spec.dist.weights))
-            columns.append(
-                {v: (weight[v].numerator, weight[v].denominator) for v in dom.values}
-            )
-    groups: dict = {}
-    for domain in {dom.values_id: dom for dom in pairs.values()}.values():
-        signatures = zip(*[map(col.get, domain.values) for col in columns])
-        for value, signature in zip(domain.values, signatures):
-            groups.setdefault(signature, {})[value] = None
-    shared = [members for members in groups.values() if len(members) > 1]
-    if not shared:
-        return {}
+        key = (n.si.switch, n.out.domain.values_id)
+        if key not in pairs:
+            pairs[key] = (n.out.domain, dists.spec(n.si.switch))
     constants = {
         atom.rhs
         for n in nodes
@@ -140,11 +214,9 @@ def _value_classes(d: Osdd, dists: DistMap) -> dict:
         for atom in label.atoms
         if isinstance(atom.rhs, GroundTerm)
     }
-    classes = {}
-    for number, members in enumerate(shared):
-        members = members.keys() - constants
-        if len(members) > 1:
-            classes.update(dict.fromkeys(members, number))
+    classes = _ValueClasses(list(pairs.values()), constants)
+    if not any(members for _, members in classes.layouts.values()):
+        return None
     return classes
 
 
@@ -159,12 +231,16 @@ def exact_probability(d: Osdd, dists: DistMap):
     values of one class that no free variable of the child holds give one
     recursion on a representative, weighted by their summed probability;
     every other admitted value recurses alone.  Those sums are counted
-    from the label's excluded and taken values, never listed, so after
-    one O(domain) class set-up per call an edge costs O(|excluded| +
-    |taken| + classes) plus its lone values, whatever the domain size.  A
-    diagram with no such class keeps plain value tuples as keys and the
-    per-value loop.  Rational results are the same ``Fraction``s either
-    way; float results may differ in the last bits from a per-value sum.
+    from the label's excluded and taken values, never listed, and a
+    class's representative is found by skipping at most its constants,
+    excluded and taken values, so an edge costs O(|constants| +
+    |excluded| + |taken| + classes) plus its lone values, whatever the
+    domain size.  Setting the classes up reads weight groups, not values,
+    only under the conditions :class:`_ValueClasses` states; otherwise it
+    passes over the values of a domain.  A diagram with no such class
+    keeps plain value tuples as keys and the per-value loop.  Rational
+    results are the same ``Fraction``s either way; float results may
+    differ in the last bits from a per-value sum.
     """
     if free_vars(d):
         raise DiagramError(
@@ -176,7 +252,6 @@ def exact_probability(d: Osdd, dists: DistMap):
     classes = _value_classes(d, dists)
     memo = {}
     free_order: dict = {}
-    layouts: dict = {}
 
     def free_tuple(n):
         got = free_order.get(n)
@@ -190,25 +265,8 @@ def exact_probability(d: Osdd, dists: DistMap):
         return tuple(
             value if c is None else (c, first.setdefault(value, i))
             for i, value in enumerate(values)
-            for c in (classes.get(value),)
+            for c in (classes.of(value),)
         )
-
-    def layout(domain):
-        """Each value's position, the values in no class, and each class's
-        members, all in domain order."""
-        got = layouts.get(domain.values_id)
-        if got is None:
-            alone = []
-            members: dict = {}
-            for value in domain.values:
-                c = classes.get(value)
-                if c is None:
-                    alone.append(value)
-                else:
-                    members.setdefault(c, []).append(value)
-            position = {value: i for i, value in enumerate(domain.values)}
-            got = layouts[domain.values_id] = (position, alone, members)
-        return got
 
     def lifted(n, admitted, taken):
         """(value, probability mass) pairs, one recursion each: the values
@@ -218,29 +276,33 @@ def exact_probability(d: Osdd, dists: DistMap):
         fixed, excluded = admitted
         if fixed is not None:
             return [(fixed, dists.prob(switch, fixed))]
-        position, alone, members = layout(n.out.domain)
+        domain = n.out.domain
+        alone, members = classes.layouts[domain.values_id]
         blocked = excluded | taken
         single = [value for value in alone if value not in excluded]
         shared_taken = [
             value for value in taken
-            if value in classes and value in position and value not in excluded
+            if value in domain and value not in excluded
+            and classes.of(value) is not None
         ]
         if shared_taken:
-            single = sorted(single + shared_taken, key=position.__getitem__)
+            single = sorted(single + shared_taken, key=domain.positions.__getitem__)
         pairs = [(value, dists.prob(switch, value)) for value in single]
         hits: dict = {}
         for value in blocked:
-            c = classes.get(value)
+            c = classes.of(value)
             if c is not None:
                 hits[c] = hits.get(c, 0) + 1
+        # A class's first admitted value lies past at most its blocked
+        # members and the label constants among its positions.
+        skip = blocked | classes.constants
+        values = domain.values
         reps = []
-        for c, values in members.items():
-            count = len(values) - hits.get(c, 0)
+        for c, size, positions in members:
+            count = size - hits.get(c, 0)
             if count:
-                i = 0
-                while values[i] in blocked:
-                    i += 1
-                reps.append((position[values[i]], values[i], count))
+                i = next(i for i in positions if values[i] not in skip)
+                reps.append((i, values[i], count))
         reps.sort()
         # A class's values share one probability under every switch.
         pairs.extend(
@@ -310,7 +372,17 @@ def measurability(d: Osdd) -> MeasurabilityReport:
 
     Paths are restricted as ``normalize`` restricts them, and a node is
     walked once per restricted path: the dropped atoms were checked where
-    they were added, and no label below reaches them."""
+    they were added, and no label below reaches them.
+
+    The walk stops at the first unsaturated edge, so every path it extends
+    is saturated, and the saturation test of ``path & label`` runs over
+    the label's disequalities only (see :func:`constraints.is_saturated`).
+    Restricting keeps a path saturated.  ``_restrict`` drops whole groups
+    of atoms that share no variable with the kept ones, so a kept lone
+    variable keeps its atoms and its neighbours.  Two of its neighbour
+    classes that were adjacent only through a dropped atom both hold a
+    constant (a dropped variable joins a kept class only through one), so
+    they stay adjacent as classes pinned to distinct constants."""
     report = MeasurabilityReport(True)
     walked = set()
 
@@ -324,7 +396,7 @@ def measurability(d: Osdd) -> MeasurabilityReport:
         walked.add(key)
         for i, (label, child) in enumerate(n.edges):
             conj = path.conjoin(label)
-            m = cf.measure(conj, n.out)
+            m = cf.measure(conj, n.out, added=label)
             if m is None:
                 report.measurable = False
                 report.offending_node = (

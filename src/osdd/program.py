@@ -152,11 +152,19 @@ class Distribution:
     """Outcome weights for one switch, aligned with its domain values.
 
     ``float_weights`` holds the same weights converted to floats once, for
-    the samplers' draws.
+    the samplers' draws.  ``groups`` holds the domain positions grouped by
+    equal weight, each group in domain order and the groups in the order
+    of their first position (a uniform distribution has one group, a
+    ``range``), and ``group_of[i]`` is the index of position ``i``'s
+    group; exact inference reads interchangeable values off them.
     """
 
     weights: tuple[Fraction, ...]
     float_weights: tuple[float, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+    groups: tuple = field(default=(), init=False, repr=False, compare=False)
+    group_of: tuple[int, ...] = field(
         default=(), init=False, repr=False, compare=False
     )
 
@@ -173,12 +181,24 @@ class Distribution:
         object.__setattr__(
             self, "float_weights", tuple(float(w) for w in self.weights)
         )
+        n = len(self.weights)
+        # count() tries identity before ==, and a uniform declaration repeats
+        # one Fraction object; a set would hash every weight.
+        if self.weights.count(self.weights[0]) == n:
+            groups, group_of = (range(n),), (0,) * n
+        else:
+            by_weight: dict = {}
+            for i, w in enumerate(self.weights):
+                by_weight.setdefault(w, []).append(i)
+            groups = tuple(tuple(g) for g in by_weight.values())
+            index = {w: k for k, w in enumerate(by_weight)}
+            group_of = tuple(index[w] for w in self.weights)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "group_of", group_of)
 
     @property
     def is_uniform(self) -> bool:
-        # count() tries identity before ==, and a uniform declaration repeats
-        # one Fraction object; a set would hash every weight.
-        return self.weights.count(self.weights[0]) == len(self.weights)
+        return len(self.groups) == 1
 
 
 @dataclass(frozen=True)

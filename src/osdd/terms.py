@@ -49,23 +49,23 @@ class TypeDomain:
 
     ``values_id`` is a small int that is one-to-one with ``values`` across
     every domain built in the process, so equal outcome spaces can be
-    compared without hashing their value tuples again.
+    compared without hashing their value tuples again.  ``positions`` maps
+    each value to its index in ``values``; it is built once, here, and
+    also serves membership tests.
     """
 
     name: str
     values: tuple[GroundTerm, ...]
-    _value_set: frozenset = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    positions: dict = field(default=None, init=False, repr=False, compare=False)
     values_id: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.values:
             raise ValueError(f"domain {self.name!r} has no values")
-        value_set = frozenset(self.values)
-        if len(value_set) != len(self.values):
+        positions = dict(zip(self.values, range(len(self.values))))
+        if len(positions) != len(self.values):
             raise ValueError(f"domain {self.name!r} has duplicate values")
-        object.__setattr__(self, "_value_set", value_set)
+        object.__setattr__(self, "positions", positions)
         values_id = _values_ids.setdefault(self.values, len(_values_ids))
         object.__setattr__(self, "values_id", values_id)
 
@@ -74,7 +74,7 @@ class TypeDomain:
         return len(self.values)
 
     def __contains__(self, term) -> bool:
-        return term in self._value_set
+        return term in self.positions
 
     def __repr__(self):
         return f"TypeDomain({self.name!r}, {len(self.values)} values)"

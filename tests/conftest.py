@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import osdd
-from osdd.constraints import ConstraintFormula, TRUE, formula
+from osdd.constraints import ConstraintFormula, TRUE, eq, formula, neq
 from osdd.diagram import (
     ONE,
     SwitchInstance,
@@ -24,20 +24,26 @@ from osdd.programs import BIRTHDAY, PALINDROME, birthday_source
 from osdd.terms import GroundTerm, domain_of_symbols
 
 
-def run_fresh(script, **env_overrides):
-    """Stdout of ``script`` run in a fresh interpreter that imports this
-    checkout of the package; the keyword arguments are set in its
-    environment.  Process-global tables (variable names, the intern and
-    formula tables) then hold nothing from other tests."""
+def fresh_env(**env_overrides):
+    """An environment in which a fresh interpreter imports this checkout
+    of the package, with the keyword arguments set."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(osdd.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     env.update(env_overrides)
+    return env
+
+
+def run_fresh(script, **env_overrides):
+    """Stdout of ``script`` run in a fresh interpreter that imports this
+    checkout of the package; the keyword arguments are set in its
+    environment.  Process-global tables (variable names, the intern and
+    formula tables) then hold nothing from other tests."""
     return subprocess.run(
         [sys.executable, "-c", script],
-        env=env,
+        env=fresh_env(**env_overrides),
         capture_output=True,
         text=True,
         timeout=600,
@@ -141,3 +147,27 @@ def random_proper_diagram(rng, chain, n_constraints=2):
         acc = normalize(osdd_and(acc, msw_node(si, var, gamma)))
         bound.append(var)
     return to_proper(acc)
+
+
+def non_measurable_diagram(dom4):
+    """A proper diagram over ``dom4`` whose last label is not saturated."""
+    s = SwitchRef("nm")
+    x = canonical_instance_var(s, GroundTerm(1), dom4)
+    y = canonical_instance_var(s, GroundTerm(2), dom4)
+    z = canonical_instance_var(s, GroundTerm(3), dom4)
+    # The cover below keeps the x/y relation inside the 0-labels, so
+    # the diagram is proper, but the surviving label's neighborhood
+    # {x, y} is unrelated: the count of values open to z is 2 or 3
+    # depending on the grounding above.
+    level3 = make_node(
+        SwitchInstance(s, GroundTerm(3)),
+        z,
+        [
+            (formula(neq(z, x), neq(z, y)), ONE),
+            (formula(eq(z, x), eq(z, y), eq(x, y)), ZERO),
+            (formula(eq(z, x), neq(z, y), neq(x, y)), ZERO),
+            (formula(eq(z, y), neq(z, x), neq(x, y)), ZERO),
+        ],
+    )
+    level2 = make_node(SwitchInstance(s, GroundTerm(2)), y, [(TRUE, level3)])
+    return make_node(SwitchInstance(s, GroundTerm(1)), x, [(TRUE, level2)])

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,8 @@ from osdd.diagram_io import parse_osdd
 from osdd.engine import EvalSession
 from osdd.errors import SolverLimitError
 from osdd.programs import BIRTHDAY, PALINDROME, birthday_source
+
+from conftest import fresh_env
 
 
 @pytest.fixture()
@@ -486,3 +490,24 @@ class TestOptions:
             ])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer", "--program", "birthday", "--query", "same_birthday(12)", "--rational"],
+    ["compile", "--program", "palindrome", "--query", "evidence(12)"],
+])
+def test_stdout_closed_by_its_reader_exits_1_quietly(program_files, argv):
+    """`osdd ... | head` with the reader gone before the first write: exit
+    1, with no "internal error" and no second error at interpreter exit."""
+    argv = [str(program_files.get(a, a)) for a in argv]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "osdd.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=fresh_env(),
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1, stderr
+    assert stderr == ""

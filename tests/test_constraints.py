@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from osdd.constraints import (
@@ -32,7 +32,7 @@ from osdd.errors import SolverLimitError
 from osdd.oracle import random_program
 from osdd.terms import GroundTerm, Var, domain_of_symbols, term_key
 
-from conftest import all_assignments, models
+from conftest import all_assignments, models, non_measurable_diagram
 
 D3 = domain_of_symbols("t3", ["a", "b", "c"])
 D2 = domain_of_symbols("t2", ["a", "b"])
@@ -605,3 +605,128 @@ def test_neighbors_match_term_pair_reference(case):
     f, _ = case
     if satisfiable(f):
         assert_neighbors_match_reference(f)
+
+
+# ---------------------------------------------------------------------------
+# Saturation by the atoms a label adds, against the test over every class
+
+
+def assert_delta_saturation_matches(d):
+    """Walk every (node, restricted path, edge) of ``d``.  A path restricted
+    below a saturated conjunction is saturated, and when a path is
+    saturated, testing only the label's atoms gives the full test's
+    verdict on ``path & label``.  Returns the verdicts met."""
+    verdicts = set()
+    walked = set()
+    stack = [(d, TRUE, True)]
+    while stack:
+        n, path, above_saturated = stack.pop()
+        if n.is_leaf:
+            continue
+        path = _restrict(path, n)
+        if (n, path) in walked:
+            continue
+        walked.add((n, path))
+        saturated = is_saturated(path)
+        if above_saturated:
+            assert saturated, path
+        for label, child in n.edges:
+            conj = path.conjoin(label)
+            if not satisfiable(conj):
+                continue
+            full = is_saturated(conj)
+            if saturated:
+                assert is_saturated(conj, added=label) == full, (path, label)
+                verdicts.add(full)
+            stack.append((child, conj, full))
+    return verdicts
+
+
+class TestDeltaSaturation:
+    def test_birthday_chains(self, birthday_program):
+        session = EvalSession(birthday_program)
+        for n in range(2, 17):
+            d = session.query(f"same_birthday({n})")
+            assert assert_delta_saturation_matches(d) == {True}
+
+    def test_palindrome_joints(self, palindrome_program):
+        session = EvalSession(palindrome_program)
+        for n in range(4, 15):
+            joint = to_proper(osdd_and(
+                session.query(f"query({n}, {n // 4})"),
+                session.query(f"evidence({n})"),
+            ))
+            assert_delta_saturation_matches(joint)
+
+    def test_random_programs(self):
+        verdicts = set()
+        for seed in range(200):
+            program, _ = random_program(seed)
+            verdicts |= assert_delta_saturation_matches(
+                EvalSession(program).query("q")
+            )
+        assert verdicts == {True, False}
+
+    def test_non_measurable_diagram(self, dom4):
+        verdicts = assert_delta_saturation_matches(non_measurable_diagram(dom4))
+        assert verdicts == {True, False}
+
+
+_DELTA_ATOMS = _formula_strategy(n_vars=4)
+
+
+@st.composite
+def _saturated_and_label(draw):
+    """A formula and a label over the same four variables."""
+    (f, _), (label, _) = draw(_DELTA_ATOMS), draw(_DELTA_ATOMS)
+    return f, label
+
+
+def _delta_verdict(case):
+    """The saturation of ``f & label`` when ``f`` is saturated and the
+    conjunction satisfiable, after checking that the label's atoms alone
+    give it; ``None`` otherwise."""
+    f, label = case
+    if not satisfiable(f) or not is_saturated(f):
+        return None
+    conj = f.conjoin(label)
+    if not satisfiable(conj):
+        return None
+    full = is_saturated(conj)
+    assert is_saturated(conj, added=label) == full, (f, label)
+    return full
+
+
+@settings(max_examples=300, deadline=None)
+@given(_saturated_and_label())
+def test_delta_saturation_matches_full_test(case):
+    _delta_verdict(case)
+
+
+def test_delta_saturation_small_scope_exhaustively():
+    """Every formula and label of at most two atoms over three variables
+    and the constants a and b of a three-value domain."""
+    x, y, z = v3("X"), v3("Y"), v3("Z")
+    atoms = [
+        AtomicConstraint(lhs, rhs, pol)
+        for lhs, rhs in [(x, y), (x, z), (y, z)] + [
+            (v, t) for v in (x, y, z) for t in (A, B)
+        ]
+        for pol in (EQ, NEQ)
+    ]
+    small = [
+        ConstraintFormula(c)
+        for k in range(3)
+        for c in itertools.combinations(atoms, k)
+    ]
+    verdicts = [_delta_verdict((f, label)) for f in small for label in small]
+    assert {True, False} <= set(verdicts)
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_delta_saturation_cases_reach_both_verdicts(verdict):
+    find(
+        _saturated_and_label(),
+        lambda case: _delta_verdict(case) is verdict,
+        settings=settings(max_examples=2000, database=None),
+    )

@@ -44,7 +44,7 @@ from osdd.programs import birthday_source
 from osdd.sampling import estimate
 from osdd.terms import GroundTerm
 
-from conftest import instance_chain, random_proper_diagram
+from conftest import instance_chain, non_measurable_diagram, random_proper_diagram
 
 
 @pytest.fixture(scope="module")
@@ -67,29 +67,6 @@ def palindrome_query_20_5(palindrome_program):
 
 
 NM_PROGRAM = "values(nm, [a, b, c, d]).\nset_sw(nm, uniform).\n"
-
-
-def non_measurable_diagram(dom4):
-    s = SwitchRef("nm")
-    x = canonical_instance_var(s, GroundTerm(1), dom4)
-    y = canonical_instance_var(s, GroundTerm(2), dom4)
-    z = canonical_instance_var(s, GroundTerm(3), dom4)
-    # The cover below keeps the x/y relation inside the 0-labels, so
-    # the diagram is proper, but the surviving label's neighborhood
-    # {x, y} is unrelated: the count of values open to z is 2 or 3
-    # depending on the grounding above.
-    level3 = make_node(
-        SwitchInstance(s, GroundTerm(3)),
-        z,
-        [
-            (formula(neq(z, x), neq(z, y)), ONE),
-            (formula(eq(z, x), eq(z, y), eq(x, y)), ZERO),
-            (formula(eq(z, x), neq(z, y), neq(x, y)), ZERO),
-            (formula(eq(z, y), neq(z, x), neq(x, y)), ZERO),
-        ],
-    )
-    level2 = make_node(SwitchInstance(s, GroundTerm(2)), y, [(TRUE, level3)])
-    return make_node(SwitchInstance(s, GroundTerm(1)), x, [(TRUE, level2)])
 
 
 def edge_count(d):
@@ -135,6 +112,26 @@ def path_walk_reference(d):
         return True
 
     return walk(d, TRUE, []), offending, measures, entries
+
+
+def walked_labels(d):
+    """The labels of the edges ``measurability`` meets on a measurable
+    diagram: each edge once per (node, restricted path)."""
+    labels = []
+    walked = set()
+    stack = [(d, TRUE)]
+    while stack:
+        n, path = stack.pop()
+        if n.is_leaf:
+            continue
+        path = _restrict(path, n)
+        if (n, path) in walked:
+            continue
+        walked.add((n, path))
+        for label, child in n.edges:
+            labels.append(label)
+            stack.append((child, path.conjoin(label)))
+    return labels
 
 
 def measure_weighted_reference(d, dists, measures):
@@ -336,12 +333,37 @@ def lifted_reference(d, dists):
     return pi(d, {})
 
 
+def class_partition(classes, d):
+    """The classes of a ``_value_classes`` result as a set of value sets,
+    read through ``of`` and checked against each domain's layout."""
+    if classes is None:
+        return set()
+    found = {}
+    domains = {n.out.domain.values_id: n.out.domain for n in internal_nodes(d)}
+    for domain in domains.values():
+        for value in domain.values:
+            c = classes.of(value)
+            if c is not None:
+                found.setdefault(c, set()).add(value)
+        alone, members = classes.layouts[domain.values_id]
+        assert alone == [v for v in domain.values if classes.of(v) is None]
+        for c, size, positions in members:
+            listed = {domain.values[i] for i in positions} - classes.constants
+            assert listed == found[c] and size == len(listed)
+    return {frozenset(members) for members in found.values()}
+
+
 def assert_matches_lifted_reference(d, program):
-    """Counted classes and sums give the listing recursion's class maps
-    and ``Fraction``s, and its floats up to rounding."""
+    """Counted classes and sums give the listing recursion's class
+    partitions and ``Fraction``s, and its floats up to rounding."""
     rational, floats = DistMap(program, exact=True), DistMap(program)
     for dm in (rational, floats):
-        assert exact._value_classes(d, dm) == value_classes_reference(d, dm)
+        expected = {}
+        for value, number in value_classes_reference(d, dm).items():
+            expected.setdefault(number, set()).add(value)
+        assert class_partition(exact._value_classes(d, dm), d) == {
+            frozenset(members) for members in expected.values()
+        }
     assert exact_probability(d, rational) == lifted_reference(d, rational)
     assert exact_probability(d, floats) == pytest.approx(
         lifted_reference(d, floats), rel=1e-12
@@ -409,9 +431,9 @@ class TestMeasurability:
         calls = []
         measure = constraints.measure
 
-        def counting(f, x):
+        def counting(f, x, added=None):
             calls.append(x)
-            return measure(f, x)
+            return measure(f, x, added=added)
 
         monkeypatch.setattr(constraints, "measure", counting)
         d = palindrome_query_20_5
@@ -420,6 +442,42 @@ class TestMeasurability:
         assert report.measurable
         # The walk by root-to-leaf paths made 118,216 calls here.
         assert 0 < len(calls) <= 2 * edges, (len(calls), edges)
+
+    def test_subset_tests_follow_the_labels(self, birthday_program, monkeypatch):
+        """Saturation is tested per disequality a label adds, not per
+        class of the whole path: count the neighbour-set subset tests."""
+        tests = []
+
+        class CountingSet(frozenset):
+            def __le__(self, other):
+                tests.append(None)
+                return frozenset.__le__(self, other)
+
+        graph = constraints.ConstraintFormula.graph
+        counted = {}
+
+        def counting_graph(f):
+            g = counted.get(f)
+            if g is None:
+                g = graph(f)
+                g = counted[f] = constraints.ConstraintGraph(
+                    g.contradiction, g.classes, g.class_index,
+                    tuple(CountingSet(nb) for nb in g.neighbors),
+                )
+            return g
+
+        d = EvalSession(birthday_program).query("same_birthday(20)")
+        monkeypatch.setattr(constraints.ConstraintFormula, "graph", counting_graph)
+        assert measurability(d).measurable
+        neqs = sum(
+            atom.polarity == constraints.NEQ
+            for label in walked_labels(d)
+            for atom in label.atoms
+        )
+        # Testing every class of each path conjunction made 34,010 subset
+        # tests here, for 1,330 label disequalities; the delta test makes
+        # 1,520.
+        assert 0 < len(tests) <= 2 * neqs, (len(tests), neqs)
 
 
 class TestFastPath:
@@ -588,6 +646,34 @@ class TestLifted:
             assert expected == Fraction(9, 16)
             assert exact_probability(d, DistMap(prog, exact=True)) == expected, query
 
+    def test_representative_skips_a_constant_its_edge_admits(self):
+        """X's edge excludes a and b but admits c, which a label below
+        names: the class {d, e} is represented by d, not by the constant
+        that comes first in domain order."""
+        prog = parse_program(
+            "values(v, [a, b, c, d, e]).\nset_sw(v, uniform).\n"
+            "r :- msw(v, 1, X), X \\= a, X \\= b, msw(v, 2, Y), "
+            "X \\= Y, Y \\= c.\n"
+        )
+        s = SwitchRef("v")
+        dom5 = prog.switch_spec(s).domain
+        x, y = (canonical_instance_var(s, GroundTerm(i), dom5) for i in (1, 2))
+        a, b, c = (GroundTerm(v) for v in "abc")
+        level2 = make_node(SwitchInstance(s, GroundTerm(2)), y, [
+            (formula(neq(y, x), neq(y, c)), ONE),
+            (formula(eq(y, x)), ZERO),
+            (formula(eq(y, c), neq(y, x), neq(x, c)), ZERO),
+        ])
+        d = make_node(SwitchInstance(s, GroundTerm(1)), x, [
+            (formula(neq(x, a), neq(x, b)), level2),
+            (formula(eq(x, a)), ZERO),
+            (formula(eq(x, b)), ZERO),
+        ])
+        assert validate(d) == []
+        expected = brute_force_probability(prog, "r")
+        assert expected == Fraction(2, 5)
+        assert exact_probability(d, DistMap(prog, exact=True)) == expected
+
     def test_probability_lookups_do_not_depend_on_the_domain(self, monkeypatch):
         calls = []
         prob = DistMap.prob
@@ -607,6 +693,42 @@ class TestLifted:
             assert 0 < len(calls) <= 2 * edge_count(d), (days, len(calls))
         # Listing each edge's admitted values made 419 and 36,554 lookups.
         assert counts[0] == counts[1], counts
+
+    def test_a_call_makes_no_pass_over_the_domain(self):
+        """Classes come from each switch's weight groups and each domain's
+        positions, kept on the program objects: a second call iterates no
+        domain's value tuple."""
+        program = parse_program(birthday_source(36_500))
+        d = EvalSession(program).query("same_birthday(3)")
+        expected = closed_form_birthday(3, 36_500)
+        assert exact_probability(d, DistMap(program, exact=True)) == expected
+        passes = []
+
+        class CountingTuple(tuple):
+            def __iter__(self):
+                passes.append("iter")
+                return super().__iter__()
+
+            def __contains__(self, value):
+                passes.append("in")
+                return super().__contains__(value)
+
+        domains = {id(n.out.domain): n.out.domain for n in internal_nodes(d)}
+        for n in internal_nodes(d):
+            spec = program.switch_spec(n.si.switch)
+            domains[id(spec.domain)] = spec.domain
+        saved = {key: domain.values for key, domain in domains.items()}
+        try:
+            for key, domain in domains.items():
+                object.__setattr__(domain, "values", CountingTuple(saved[key]))
+            for exact_mode in (True, False):
+                got = exact_probability(d, DistMap(program, exact=exact_mode))
+                assert got == pytest.approx(expected, rel=1e-12)
+        finally:
+            for key, domain in domains.items():
+                object.__setattr__(domain, "values", saved[key])
+        # Building each call's class map passed over all 36,500 days.
+        assert passes == []
 
     def test_random_uniform_programs_match_the_oracle(self):
         for seed in range(60):

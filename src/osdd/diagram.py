@@ -374,6 +374,53 @@ def _restrict(path: ConstraintFormula, d: Osdd) -> ConstraintFormula:
     return ConstraintFormula(kept)
 
 
+def walk_paths(d: Osdd, visit):
+    """Visit each (node, restricted path) pair of ``d`` once, depth first.
+
+    ``visit(n, path, above)`` is a generator.  ``path`` is the conjunction
+    of the labels above ``n``, restricted as :func:`normalize` restricts
+    it, and ``above`` is the tuple of (node, edge index) pairs from the
+    root to ``n``.  Each ``(i, formula)`` it yields walks edge ``i``'s
+    child with ``formula`` as its path before the visitor resumes; a value
+    other than None that it returns ends the walk and is returned.  The
+    walk keeps its own stack, not one Python frame per level.
+
+    Restricting is sound: it drops whole groups of atoms that share no
+    variable with ``n``'s labels or those below.  They were checked where
+    they were added, and no label below reaches them, so on a satisfiable
+    path a test over those labels reads the same with or without them.
+
+    A pair met before is skipped: its first visit saw everything below it
+    and returned None.  A label can name a variable that only some paths
+    bind, so the key also holds the node's free variables unbound above.
+    """
+    seen = set()
+    stack = []  # (node, its visitor, the edges above it), root first
+
+    def push(n, path, above):
+        path = _restrict(path, n)
+        key = (n, path, free_vars(n).difference(m.out for m, _ in above))
+        if key not in seen:
+            seen.add(key)
+            stack.append((n, visit(n, path, above), above))
+
+    if not d.is_leaf:
+        push(d, TRUE, ())
+    while stack:
+        n, visitor, above = stack[-1]
+        try:
+            i, path = next(visitor)
+        except StopIteration as stop:
+            if stop.value is not None:
+                return stop.value
+            stack.pop()
+        else:
+            child = n.edges[i][1]
+            if not child.is_leaf:
+                push(child, path, above + ((n, i),))
+    return None
+
+
 def _normalize(d: Osdd, path: ConstraintFormula) -> Osdd:
     kept = []
     for g, child in d.edges:
@@ -424,14 +471,13 @@ def _find_implicit(d: Osdd):
     An atom is implicit when the closure of an edge label entails it but
     the path formula alone does not.  Returns (edge index path to the
     insertion node, atom) or None; the insertion node is the shallowest
-    on the violating path binding all of the atom's variables.
+    on the violating path binding all of the atom's variables.  A node's
+    edges are all checked before the walk descends any of them.
     """
 
-    def walk(n, path, outs, route):
-        if n.is_leaf:
-            return None
-        outs = outs + [n.out]
-        for g, child in n.edges:
+    def visit(n, path, above):
+        outs = [m.out for m, _ in above] + [n.out]
+        for g, _ in n.edges:
             graph = g.graph()
             if not graph.contradiction:
                 for beta in sorted(
@@ -442,14 +488,11 @@ def _find_implicit(d: Osdd):
                     if cf.entails(path, beta):
                         continue
                     depth = max(outs.index(v) for v in beta.variables())
-                    return (route[:depth], beta)
-        for i, (g, child) in enumerate(n.edges):
-            found = walk(child, path.conjoin(g), outs, route + [i])
-            if found is not None:
-                return found
-        return None
+                    return ([i for _, i in above[:depth]], beta)
+        for i, (g, _) in enumerate(n.edges):
+            yield i, path.conjoin(g)
 
-    return walk(d, TRUE, [], [])
+    return walk_paths(d, visit)
 
 
 def _insert_constraint(d: Osdd, route, beta: AtomicConstraint) -> Osdd:
@@ -487,7 +530,9 @@ def to_proper(d: Osdd) -> Osdd:
     path output variables but absent from the path, inserts it (with its
     negation members) at the shallowest node binding its variables, and
     prunes edges whose accumulated formula became unsatisfiable.  The
-    grounding of the diagram is preserved at every step.
+    grounding of the diagram is preserved at every step.  The search for
+    an implicit atom visits each node once per restricted path (see
+    :func:`walk_paths`), not once per root-to-leaf path.
     """
     d = normalize(d)
     for _ in range(MAX_PROPER_ROUNDS):

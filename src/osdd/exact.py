@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import constraints as cf
-from .constraints import TRUE, ConstraintFormula
+from .constraints import ConstraintFormula
 from .diagram import (
-    Mdd, Osdd, _restrict, free_vars, internal_nodes, max_free_vars, node_count,
+    Mdd, Osdd, free_vars, internal_nodes, max_free_vars, node_count, walk_paths,
 )
 from .errors import DiagramError
 from .program import Program, SwitchSpec
@@ -351,9 +351,10 @@ def exact_probability(d: Osdd, dists: DistMap):
 
 @dataclass
 class MeasurabilityReport:
-    """``edge_measures``: one entry per (node, restricted path) edge in DFS
-    order, empty if not measurable.  On chains such as ``same_birthday(n)``
-    and ``evidence(n)`` that is one entry per path."""
+    """``edge_measures``: one entry per edge of each node that
+    :func:`diagram.walk_paths` visits, in DFS order, empty if not
+    measurable.  On chains such as ``same_birthday(n)`` and
+    ``evidence(n)`` that is one entry per path."""
 
     measurable: bool
     edge_measures: list = field(default_factory=list)  # (constrained, count)
@@ -370,48 +371,33 @@ def measurability(d: Osdd) -> MeasurabilityReport:
     """Check each edge's path-conjoined label for saturation and collect
     the per-edge solution counts of the node's output variable.
 
-    Paths are restricted as ``normalize`` restricts them, and a node is
-    walked once per restricted path: the dropped atoms were checked where
-    they were added, and no label below reaches them.
+    The walk (:func:`diagram.walk_paths`) visits a node once per restricted
+    path and walks each edge's subtree before the next edge.
 
-    The walk stops at the first unsaturated edge, so every path it extends
-    is saturated, and the saturation test of ``path & label`` runs over
-    the label's disequalities only (see :func:`constraints.is_saturated`).
-    Restricting keeps a path saturated.  ``_restrict`` drops whole groups
-    of atoms that share no variable with the kept ones, so a kept lone
-    variable keeps its atoms and its neighbours.  Two of its neighbour
-    classes that were adjacent only through a dropped atom both hold a
-    constant (a dropped variable joins a kept class only through one), so
-    they stay adjacent as classes pinned to distinct constants."""
-    report = MeasurabilityReport(True)
-    walked = set()
+    It stops at the first unsaturated edge, so every path it extends is
+    saturated, and the saturation test of ``path & label`` runs over the
+    label's disequalities only (see :func:`constraints.is_saturated`).
+    Restricting keeps a path saturated.  It drops whole groups of atoms
+    that share no variable with the kept ones, so a kept lone variable
+    keeps its atoms and its neighbours.  Two of its neighbour classes that
+    were adjacent only through a dropped atom both hold a constant (a
+    dropped variable joins a kept class only through one), so they stay
+    adjacent as classes pinned to distinct constants."""
+    measures = []
 
-    def walk(n, path, route):
-        if n.is_leaf:
-            return True
-        path = _restrict(path, n)
-        key = (n, path)
-        if key in walked:
-            return True
-        walked.add(key)
-        for i, (label, child) in enumerate(n.edges):
+    def visit(n, path, above):
+        for i, (label, _) in enumerate(n.edges):
             conj = path.conjoin(label)
             m = cf.measure(conj, n.out, added=label)
             if m is None:
-                report.measurable = False
-                report.offending_node = (
-                    f"{n.si}@{'.'.join(map(str, route)) or 'root'}"
-                )
-                return False
-            report.edge_measures.append((not label.is_empty(), m))
-            if not walk(child, conj, route + [i]):
-                return False
-        return True
+                return f"{n.si}@{'.'.join(str(j) for _, j in above) or 'root'}"
+            measures.append((not label.is_empty(), m))
+            yield i, conj
 
-    walk(d, TRUE, [])
-    if not report.measurable:
-        report.edge_measures = []
-    return report
+    offending = walk_paths(d, visit)
+    if offending is not None:
+        return MeasurabilityReport(False, offending_node=offending)
+    return MeasurabilityReport(True, measures)
 
 
 def exact_probability_measurable(

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from osdd import constraints as cf
-from osdd.constraints import TRUE, eq, formula, neq, satisfiable
+from osdd import diagram
+from osdd.constraints import AtomicConstraint, TRUE, eq, formula, neq, satisfiable
 from osdd.diagram import (
     ONE,
     SwitchInstance,
@@ -34,6 +35,8 @@ from osdd.diagram import (
 from osdd.diagram_io import parse_osdd
 from osdd.engine import EvalSession
 from osdd.errors import DiagramError
+from osdd.exact import measurability
+from osdd.oracle import random_program
 from osdd.terms import GroundTerm, Var, domain_of_symbols
 
 from conftest import (
@@ -616,15 +619,147 @@ def test_every_path_formula_of_a_proper_diagram_is_satisfiable():
             assert satisfiable(acc)
 
 
-def test_combinations_of_proper_diagrams_stay_proper():
+def random_combinations():
+    """Conjunctions and disjunctions of random proper diagrams, improper
+    in general."""
     rng = random.Random(37)
     chain = instance_chain("cl", DOM, 3)
     for _ in range(20):
         a = random_proper_diagram(rng, chain)
         b = random_proper_diagram(rng, chain)
         for op in ("and", "or"):
-            result = to_proper(combine(a, b, op))
-            assert validate(result) == []
+            yield combine(a, b, op)
+
+
+def test_combinations_of_proper_diagrams_stay_proper():
+    for d in random_combinations():
+        assert validate(to_proper(d)) == []
+
+
+def find_implicit_by_paths(d):
+    """The implicit-atom search of earlier versions: every root-to-leaf
+    path, unrestricted, a node's edges all checked before any descent."""
+
+    def walk(n, path, outs, route):
+        if n.is_leaf:
+            return None
+        outs = outs + [n.out]
+        for g, child in n.edges:
+            graph = g.graph()
+            if not graph.contradiction:
+                for beta in sorted(
+                    graph.entailed_atoms() - g.atoms, key=AtomicConstraint.sort_key
+                ):
+                    if not all(v in outs for v in beta.variables()):
+                        continue
+                    if cf.entails(path, beta):
+                        continue
+                    depth = max(outs.index(v) for v in beta.variables())
+                    return (route[:depth], beta)
+        for i, (g, child) in enumerate(n.edges):
+            found = walk(child, path.conjoin(g), outs, route + [i])
+            if found is not None:
+                return found
+        return None
+
+    return walk(d, TRUE, [], [])
+
+
+def test_implicit_search_matches_path_walk_reference(
+    monkeypatch, birthday_program, palindrome_program
+):
+    search = diagram._find_implicit
+    results = []
+
+    def checked(d):
+        found = search(d)
+        assert found == find_implicit_by_paths(d)
+        results.append(found)
+        return found
+
+    monkeypatch.setattr(diagram, "_find_implicit", checked)
+    for seed in range(200):
+        program, _ = random_program(seed)
+        EvalSession(program).query("q")
+    for n in range(2, 13):
+        EvalSession(birthday_program).query(f"same_birthday({n})")
+    for n in range(4, 15):
+        s = EvalSession(palindrome_program)
+        to_proper(
+            osdd_and(s.query(f"query({n}, {n // 4})"), s.query(f"evidence({n})"))
+        )
+    for d in random_combinations():
+        to_proper(d)
+    found = [r for r in results if r is not None]
+    assert len(found) > 10 and any(route for route, _ in found), len(found)
+
+
+def test_implicit_search_keys_on_variables_bound_above():
+    # The low node's label names y, which only the path through the middle
+    # node binds.  Both paths reach the low node with the same restricted
+    # path, so a walk keyed on that alone skips it on the second path,
+    # where its label entails y = b.
+    (sx, x), (sy, y), (sz, z) = instance_chain("ub", DOM, 3)
+    low = make_node(
+        sz, z, [(formula(eq(z, y), eq(z, B)), ONE), (formula(neq(z, B)), ZERO)]
+    )
+    middle = make_node(sy, y, [(TRUE, low)])
+    d = make_node(sx, x, [(formula(eq(x, A)), low), (formula(neq(x, A)), middle)])
+    expected = ([1], AtomicConstraint(y, B, cf.EQ))
+    assert diagram._find_implicit(d) == find_implicit_by_paths(d) == expected
+
+
+IMPLICIT_SEARCH_WORK = """
+from osdd import constraints, diagram
+from osdd.engine import EvalSession
+from osdd.program import parse_program
+from osdd.programs import PALINDROME
+
+search, walk = diagram._find_implicit, diagram.walk_paths
+searches = []
+
+
+def counting_walk(d, visit):
+    def counted(*args):
+        searches[-1][0] += 1
+        return visit(*args)
+
+    return walk(d, counted)
+
+
+def measured_search(d):
+    searches.append([0, len(constraints._formulas)])
+    found = search(d)
+    searches[-1][1] = len(constraints._formulas) - searches[-1][1]
+    return found
+
+
+diagram.walk_paths = counting_walk
+diagram._find_implicit = measured_search
+d = EvalSession(parse_program(PALINDROME)).query("query(20, 5)")
+print(sum(len(n.edges) for n in diagram.internal_nodes(d)), *searches[-1])
+"""
+
+
+def test_implicit_search_work_follows_nodes_not_paths():
+    # The final search of query(20, 5) finds nothing.  By root-to-leaf
+    # paths it formed one formula per path prefix, about 10^5 of them;
+    # by (node, restricted path) it meets formulas normalize already made.
+    edges, visits, added = map(int, run_fresh(IMPLICIT_SEARCH_WORK).split())
+    assert edges == 190
+    assert visits <= edges and added <= edges, (visits, added)
+
+
+def test_walks_reach_a_500_deep_chain():
+    # One frame per level would come within reach of the recursion limit.
+    chain = instance_chain("deep", DOM, 500)
+    d = ONE
+    for s, x in reversed(chain):
+        d = make_node(s, x, [(formula(eq(x, A)), d), (formula(neq(x, A)), ZERO)])
+    report = measurability(d)
+    assert report.measurable
+    assert report.all_measures() == (1,) * 500 + (2,) * 500
+    assert diagram._find_implicit(d) is None
 
 
 MAKE_NODE_COUNT = """
